@@ -5,16 +5,15 @@
 //! * [`Smb`] — the **Self-Morphing Bitmap** (Algorithm 1 / Algorithm 2
 //!   of the paper): a single `m`-bit bitmap whose sampling probability
 //!   halves each time `T` fresh bits are set, with an O(1) query that
-//!   reads only the two integers `(r, v)`;
+//!   reads only the two integers `(r, v)`. Like Algorithm 1 it is a
+//!   single-writer structure (`&mut self` to record); concurrent
+//!   ingest comes from `smb-engine` giving every flow exactly one
+//!   writer, its shard worker;
 //! * [`Bitmap`] — the classic direct bitmap / linear-counting estimator
 //!   (Whang et al.), which is both the paper's first baseline and the
 //!   estimator applied inside each SMB round;
 //! * [`SampledBitmap`] — a bitmap recording under a fixed sampling
 //!   probability, the building block of the Adaptive Bitmap baseline;
-//! * [`ConcurrentSmb`] — the lock-free multi-producer SMB: the same
-//!   algorithm over an [`AtomicBitVec`] substrate with the `(r, v)`
-//!   morph state packed into one CAS word, recordable through `&self`
-//!   from any number of threads (DESIGN.md §12);
 //! * [`CardinalityEstimator`] — the trait shared by every estimator in
 //!   the workspace, which lets downstream sketches treat estimators as
 //!   plug-ins (the paper's §II-C);
@@ -30,20 +29,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod atomic_bits;
 pub mod bitmap;
 pub mod bits;
-pub mod concurrent;
 pub mod error;
 pub mod observe;
 pub mod sampled;
 pub mod smb;
 pub mod traits;
 
-pub use atomic_bits::AtomicBitVec;
 pub use bitmap::Bitmap;
 pub use bits::BitVec;
-pub use concurrent::ConcurrentSmb;
 pub use error::{Error, Result};
 pub use observe::{EstimatorEvent, MorphCollector, MorphEvent, ObserverHandle, SmbObserver};
 pub use sampled::SampledBitmap;

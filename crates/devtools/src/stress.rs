@@ -21,7 +21,7 @@
 //! seed** in the panic message, exactly like `forall!`:
 //!
 //! ```text
-//! [stress tests/concurrent_differential.rs:30] schedule 7 failed (4 threads)
+//! [stress crates/telemetry/src/flight.rs:544] schedule 7 failed (4 threads)
 //! error: assertion `...` failed
 //! reproduce with: SMB_STRESS_SEED=0x3c5f9a… cargo test
 //! ```

@@ -61,7 +61,7 @@ use smb_core::Error;
 use smb_devtools::{Json, Snapshot};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::crc32::crc32;
-use smb_sketch::{FlowCell, FlowStore as _};
+use smb_sketch::FlowCell;
 use smb_telemetry::{
     Counter, FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry,
 };

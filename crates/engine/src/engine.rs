@@ -37,7 +37,7 @@ use std::time::Instant;
 use smb_core::{CardinalityEstimator, EstimatorEvent, ObserverHandle, SmbObserver as _};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::{mix, HashScheme, ItemHash};
-use smb_sketch::{FlowStore, FlowTable, TierStats};
+use smb_sketch::{FlowTable, TierStats};
 use smb_telemetry::{
     BatchedMetricsObserver, FlightEvent, FlightEventKind, FlightRecorder, Histogram, Registry,
     RegistrySnapshot,
@@ -261,13 +261,13 @@ fn few_flows_dominate(batch: &[(u64, ItemHash)]) -> bool {
     distinct <= SAMPLE / 2
 }
 
-/// Record one batch of `(flow, hash)` pairs into any [`FlowStore`],
+/// Record one batch of `(flow, hash)` pairs into a [`FlowTable`],
 /// resolving each distinct flow once per run of same-flow items
 /// instead of once per item.
 ///
 /// Per-flow arrival order is preserved exactly, so the resulting
 /// per-flow states are bit-identical to recording the batch one item
-/// at a time — the store's tiering (and each estimator's batched
+/// at a time — the table's tiering (and each estimator's batched
 /// path) already guarantees batch/item equivalence, and this function
 /// only changes *which* items are presented together, never their
 /// per-flow order. Three regimes, picked per batch by a cheap
@@ -284,13 +284,11 @@ fn few_flows_dominate(batch: &[(u64, ItemHash)]) -> bool {
 /// * **batched probe** — when runs are short *and* flows are diverse
 ///   (adversarial run-length-1 interleaves, uniform traffic), neither
 ///   slicing nor sorting can amortise flow resolution, so the whole
-///   batch goes to the store's [`FlowStore::record_batch`]:
-///   [`smb_sketch::FlowTable`] overrides it with a prefetch-pipelined
-///   probe pass plus inline-tier recording, and the trait default is
-///   the sequential per-item model itself — either way, item order is
+///   batch goes to [`FlowTable::record_batch`]: a prefetch-pipelined
+///   probe pass plus inline-tier recording, whose item order is
 ///   exactly batch order.
-pub fn record_batch_grouped<S: FlowStore>(
-    store: &mut S,
+pub fn record_batch_grouped<E: CardinalityEstimator, F: Fn(u64) -> E>(
+    table: &mut FlowTable<E, F>,
     batch: &[(u64, ItemHash)],
     scratch: &mut GroupScratch,
 ) {
@@ -315,12 +313,12 @@ pub fn record_batch_grouped<S: FlowStore>(
             while j < batch.len() && batch[j].0 == flow {
                 j += 1;
             }
-            // One store resolution per run; the store (and, once
+            // One table resolution per run; the table (and, once
             // materialized, the estimator's own `record_hashes`)
             // decides per-item vs batched recording for the slice.
             scratch.run.clear();
             scratch.run.extend(batch[i..j].iter().map(|&(_, h)| h));
-            store.record_hashes(flow, &scratch.run);
+            table.record_hashes(flow, &scratch.run);
             i = j;
         }
         return;
@@ -328,9 +326,9 @@ pub fn record_batch_grouped<S: FlowStore>(
     if !few_flows_dominate(batch) {
         // Short runs over diverse flows: slicing would degrade to
         // per-item resolution and sorting could never rebuild long
-        // runs, so hand the whole batch to the store's batched-probe
+        // runs, so hand the whole batch to the table's batched-probe
         // path (no GroupScratch involvement at all).
-        store.record_batch(batch);
+        table.record_batch(batch);
         return;
     }
     scratch.order.clear();
@@ -353,7 +351,7 @@ pub fn record_batch_grouped<S: FlowStore>(
         scratch
             .run
             .extend(order[i..j].iter().map(|&(_, pos)| batch[pos as usize].1));
-        store.record_hashes(flow, &scratch.run);
+        table.record_hashes(flow, &scratch.run);
         i = j;
     }
 }
@@ -383,8 +381,7 @@ fn top_k_in_place(all: &mut Vec<(u64, f64)>, k: usize) {
 /// convenience [`ShardedFlowEngine::run_query`]); every requested
 /// facet is answered from a single pass that locks each shard exactly
 /// once, so one query costs one sweep no matter how many facets it
-/// asks for. This is the one aggregate query surface — it subsumes
-/// the former `snapshot_top_k` and the per-table `flows_over`.
+/// asks for. This is the one aggregate query surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineQuery {
     /// Estimate this flow's cardinality.
@@ -1143,18 +1140,6 @@ impl ShardedFlowEngine {
     /// `self.query_handle().run(query)`.
     pub fn run_query(&self, query: &EngineQuery) -> QueryReport {
         self.query_handle().run(query)
-    }
-
-    /// The `k` flows with the largest estimates, descending.
-    #[deprecated(
-        note = "run an EngineQuery instead: \
-                engine.run_query(&EngineQuery::new().with_top_k(k))"
-    )]
-    #[doc(hidden)]
-    pub fn snapshot_top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        self.run_query(&EngineQuery::new().with_top_k(k))
-            .top_k
-            .expect("top_k facet was requested")
     }
 
     /// Every `(flow, estimate)` pair across all shards, in unspecified
@@ -2295,10 +2280,6 @@ mod tests {
         assert_eq!(all.len(), 30);
         assert_eq!(&all[..10], &top[..]);
         assert!(top_k(0).is_empty());
-        // The deprecated shim answers identically, one release.
-        #[allow(deprecated)]
-        let shim = engine.snapshot_top_k(10);
-        assert_eq!(shim, top);
     }
 
     #[test]
@@ -2623,7 +2604,7 @@ mod tests {
     /// connection, the engine owned elsewhere).
     #[test]
     fn producer_barrier_makes_ingest_visible_to_query_handle() {
-        let mut engine = ShardedFlowEngine::new(
+        let engine = ShardedFlowEngine::new(
             EngineConfig::new(spec()).with_shards(2).with_batch(64),
         )
         .unwrap();

@@ -225,20 +225,6 @@ impl AlgoSpec {
         self
     }
 
-    /// Replace the expected maximum cardinality.
-    #[deprecated(note = "use the n_max(..) builder setter")]
-    #[doc(hidden)]
-    pub fn with_n_max(self, n_max: f64) -> Self {
-        self.n_max(n_max)
-    }
-
-    /// Replace the hash seed.
-    #[deprecated(note = "use the seed(..) builder setter")]
-    #[doc(hidden)]
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.seed(seed)
-    }
-
     /// The hash scheme estimators built from this spec record under.
     /// Producers that pre-hash items (the sharded engine) must hash
     /// through exactly this scheme.
@@ -401,14 +387,6 @@ mod tests {
             !collector.events().is_empty(),
             "an observed SMB over a morph-inducing trace must report events"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_setters_still_work_one_release() {
-        let old = AlgoSpec::new(Algo::Smb).with_n_max(1e5).with_seed(3);
-        let new = AlgoSpec::new(Algo::Smb).n_max(1e5).seed(3);
-        assert_eq!(old, new);
     }
 
     #[test]

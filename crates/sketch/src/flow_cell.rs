@@ -278,10 +278,10 @@ impl<E: CardinalityEstimator> FlowCell<E> {
     }
 
     /// Force-materialize and mutably borrow the estimator, replaying
-    /// any stored hashes through `make`'s product first. Supports the
-    /// deprecated `estimator_mut` access path; tier-aware callers
-    /// should record through the cell instead and leave tiny flows
-    /// unmaterialized.
+    /// any stored hashes through `make`'s product first. Eager tables
+    /// record through it, and `FlowTable::insert`/`remove` hand out
+    /// estimators this way; tier-aware callers should record through
+    /// the cell instead and leave tiny flows unmaterialized.
     pub fn force_estimator(&mut self, make: impl FnOnce() -> E) -> &mut E {
         if let Some(pending) = self.pending_hashes() {
             let mut est = make();

@@ -1,17 +1,13 @@
-//! The unified per-flow store seam.
+//! Tier accounting for the per-flow store.
 //!
-//! Everything that holds per-flow estimator state — today
-//! [`FlowTable`](crate::FlowTable), tomorrow eviction-aware or
-//! disk-backed variants — exposes one trait: [`FlowStore`]. The engine
-//! shard workers, the grouped batch recorder, checkpoint/restore and
-//! the CLI all consume this seam instead of reaching into a concrete
-//! table's estimators, so stores can tier, evict or reshape their
-//! storage without touching a single consumer.
+//! [`FlowTable`](crate::FlowTable) is the one store of per-flow
+//! estimator state; the engine shard workers, the grouped batch
+//! recorder, checkpoint/restore and the CLI all program against it
+//! directly. [`TierStats`] is its census of how many flows sit in each
+//! [`FlowCell`](crate::FlowCell) tier, which the engine mirrors into
+//! per-shard telemetry gauges.
 
-use smb_core::CardinalityEstimator;
-use smb_hash::ItemHash;
-
-use crate::flow_cell::{FlowCell, Tier};
+use crate::flow_cell::Tier;
 
 /// A point-in-time census of a store's tier occupancy plus lifetime
 /// promotion counters. Counts are maintained incrementally by the
@@ -79,87 +75,4 @@ impl TierStats {
         self.array = 0;
         self.full = 0;
     }
-}
-
-/// The store seam: insert, record, estimate, iterate, drain, snapshot
-/// and account memory for per-flow estimator state, without exposing
-/// how (or whether) each flow's estimator is materialized.
-///
-/// Hashes passed to the record methods **must** come from the scheme
-/// of the estimator the store would build for that flow — the engine
-/// guarantees this by deriving one scheme from its `AlgoSpec` and
-/// hashing once at the producer.
-pub trait FlowStore {
-    /// The estimator type this store materializes for hot flows.
-    type Estimator: CardinalityEstimator;
-
-    /// Pre-size for `n` flows so steady-state ingest never rehashes.
-    fn reserve(&mut self, n: usize);
-
-    /// Record one pre-computed item hash under `flow`.
-    fn record_hash(&mut self, flow: u64, hash: ItemHash);
-
-    /// Record a batch of pre-computed hashes under `flow` — one flow
-    /// resolution for the whole run.
-    fn record_hashes(&mut self, flow: u64, hashes: &[ItemHash]);
-
-    /// Record a batch of interleaved `(flow, hash)` pairs in arrival
-    /// order. The default is the sequential per-item model — it *is*
-    /// the reference semantics that every override must reproduce
-    /// bit-for-bit; stores override it to batch flow resolution (see
-    /// [`crate::FlowTable::record_batch`]'s prefetch-pipelined probe).
-    fn record_batch(&mut self, batch: &[(u64, ItemHash)]) {
-        for &(flow, hash) in batch {
-            self.record_hash(flow, hash);
-        }
-    }
-
-    /// Place a cell directly (restore path), replacing and returning
-    /// any previous cell for `flow`.
-    fn insert_cell(
-        &mut self,
-        flow: u64,
-        cell: FlowCell<Self::Estimator>,
-    ) -> Option<FlowCell<Self::Estimator>>;
-
-    /// The flow's cardinality estimate; `None` if never seen.
-    /// Bit-identical to an always-materialized store.
-    fn estimate(&self, flow: u64) -> Option<f64>;
-
-    /// Number of flows tracked.
-    fn flow_count(&self) -> usize;
-
-    /// Iterate `(flow, cell)` pairs in unspecified order.
-    fn cells(&self) -> Box<dyn Iterator<Item = (u64, &FlowCell<Self::Estimator>)> + '_>;
-
-    /// Remove and return every `(flow, cell)` pair, leaving the store
-    /// empty but reusable.
-    fn drain_cells(&mut self) -> Vec<(u64, FlowCell<Self::Estimator>)>;
-
-    /// All `(flow, estimate)` pairs in unspecified order.
-    fn estimates_vec(&self) -> Vec<(u64, f64)>;
-
-    /// Flows whose estimate is at least `threshold`, sorted by
-    /// (estimate descending, flow ascending).
-    fn flows_over(&self, threshold: f64) -> Vec<(u64, f64)>;
-
-    /// Resident bytes: slot storage plus every cell's heap state.
-    fn memory_bytes(&self) -> usize;
-
-    /// Logical memory in bits (the paper's accounting): estimator
-    /// `memory_bits` once materialized, 64 bits per stored hash before.
-    fn memory_bits(&self) -> usize;
-
-    /// Tier occupancy and promotion counters.
-    fn tier_stats(&self) -> TierStats;
-
-    /// Drop all flows.
-    fn clear(&mut self);
-
-    /// Serialize every cell: `(flow, state)` pairs, where small/array
-    /// tiers carry a `{"tier", "hashes"}` wrapper and materialized
-    /// cells carry the estimator's own state (`None` when the
-    /// estimator does not support snapshots).
-    #[cfg(feature = "snapshot")]
-    fn snapshot_cells(&self) -> Vec<(u64, Option<smb_devtools::Json>)>;
 }

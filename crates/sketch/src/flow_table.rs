@@ -37,7 +37,7 @@ use smb_core::CardinalityEstimator;
 use smb_hash::{HashScheme, ItemHash};
 
 use crate::flow_cell::{FlowCell, Tier};
-use crate::flow_store::{FlowStore, TierStats};
+use crate::flow_store::TierStats;
 use crate::open_table::{OpenTable, PROBE_MISS};
 
 /// The default factory representation: a boxed, thread-local closure.
@@ -394,33 +394,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         self.probe_slots = slots;
     }
 
-    /// Mutably borrow `flow`'s estimator, creating it on first sight.
-    ///
-    /// This force-materializes the flow (replaying any tiered hashes
-    /// exactly), which defeats the point of tiering for tiny flows —
-    /// record through the table or the [`FlowStore`] seam instead.
-    #[deprecated(
-        note = "record through the table or the FlowStore trait; \
-                direct estimator access force-materializes the flow"
-    )]
-    #[doc(hidden)]
-    pub fn estimator_mut(&mut self, flow: u64) -> &mut E {
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        let cell = flows.get_or_insert_with(flow, |f| {
-            stats.inc(Tier::Full);
-            FlowCell::from_estimator(factory(f))
-        });
-        let before = cell.tier();
-        let est = cell.force_estimator(|| factory(flow));
-        stats.transition(before, Tier::Full);
-        est
-    }
-
     /// Estimate the cardinality of `flow`; `None` if never seen.
     /// Bit-identical across modes: unmaterialized cells replay their
     /// stored hashes through a factory-built probe.
@@ -488,17 +461,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         self.flows.iter()
     }
 
-    /// Iterate `(flow, estimator)` pairs for **materialized** flows
-    /// only — inline-tier flows are skipped. Eager tables materialize
-    /// everything, so there this is the old full view.
-    #[deprecated(note = "use cells(); this view skips unmaterialized flows")]
-    #[doc(hidden)]
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &E)> {
-        self.flows
-            .iter()
-            .filter_map(|(flow, cell)| cell.estimator().map(|est| (flow, est)))
-    }
-
     /// Remove and return every `(flow, cell)` pair, leaving the table
     /// empty but reusable (the factory is retained). Promotion
     /// counters survive; tier occupancy resets.
@@ -506,20 +468,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         let out: Vec<_> = self.flows.drain().collect();
         self.stats.reset_counts();
         out
-    }
-
-    /// Drain the table, materializing every flow's estimator on the
-    /// way out.
-    #[deprecated(
-        note = "use drain_cells(); materializing every flow defeats tiering"
-    )]
-    #[doc(hidden)]
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, E)> + '_ {
-        let cells = self.drain_cells();
-        let factory = &self.factory;
-        cells
-            .into_iter()
-            .map(move |(flow, cell)| (flow, cell.into_estimator(|| factory(flow))))
     }
 
     /// Iterate `(flow, estimate)` pairs. Estimates from inline tiers
@@ -582,73 +530,13 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         self.flows.clear();
         self.stats.reset_counts();
     }
-}
 
-impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowStore for FlowTable<E, F> {
-    type Estimator = E;
-
-    fn reserve(&mut self, n: usize) {
-        FlowTable::reserve(self, n);
-    }
-
-    fn record_hash(&mut self, flow: u64, hash: ItemHash) {
-        FlowTable::record_hash(self, flow, hash);
-    }
-
-    fn record_hashes(&mut self, flow: u64, hashes: &[ItemHash]) {
-        FlowTable::record_hashes(self, flow, hashes);
-    }
-
-    fn record_batch(&mut self, batch: &[(u64, ItemHash)]) {
-        FlowTable::record_batch(self, batch);
-    }
-
-    fn insert_cell(&mut self, flow: u64, cell: FlowCell<E>) -> Option<FlowCell<E>> {
-        FlowTable::insert_cell(self, flow, cell)
-    }
-
-    fn estimate(&self, flow: u64) -> Option<f64> {
-        FlowTable::estimate(self, flow)
-    }
-
-    fn flow_count(&self) -> usize {
-        self.len()
-    }
-
-    fn cells(&self) -> Box<dyn Iterator<Item = (u64, &FlowCell<E>)> + '_> {
-        Box::new(FlowTable::cells(self))
-    }
-
-    fn drain_cells(&mut self) -> Vec<(u64, FlowCell<E>)> {
-        FlowTable::drain_cells(self)
-    }
-
-    fn estimates_vec(&self) -> Vec<(u64, f64)> {
-        self.estimates().collect()
-    }
-
-    fn flows_over(&self, threshold: f64) -> Vec<(u64, f64)> {
-        FlowTable::flows_over(self, threshold)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        FlowTable::memory_bytes(self)
-    }
-
-    fn memory_bits(&self) -> usize {
-        self.total_memory_bits()
-    }
-
-    fn tier_stats(&self) -> TierStats {
-        FlowTable::tier_stats(self)
-    }
-
-    fn clear(&mut self) {
-        FlowTable::clear(self);
-    }
-
+    /// Serialize every cell: `(flow, state)` pairs in unspecified
+    /// order, where small/array tiers carry a `{"tier", "hashes"}`
+    /// wrapper and materialized cells carry the estimator's own state
+    /// (`None` when the estimator does not support snapshots).
     #[cfg(feature = "snapshot")]
-    fn snapshot_cells(&self) -> Vec<(u64, Option<smb_devtools::Json>)> {
+    pub fn snapshot_cells(&self) -> Vec<(u64, Option<smb_devtools::Json>)> {
         self.flows
             .iter()
             .map(|(flow, cell)| (flow, cell.snapshot_state()))
@@ -930,33 +818,33 @@ mod tests {
     }
 
     #[test]
-    fn flow_store_seam_covers_the_table() {
-        fn exercise<S: FlowStore>(store: &mut S, scheme: HashScheme) {
+    fn table_api_covers_tiered_and_eager_modes() {
+        fn exercise(store: &mut FlowTable<Smb>, scheme: HashScheme) {
             store.reserve(16);
             let hashes: Vec<_> = (0..40u32)
                 .map(|i| scheme.item_hash(&i.to_le_bytes()))
                 .collect();
             store.record_hash(7, hashes[0]);
             store.record_hashes(8, &hashes);
-            assert_eq!(store.flow_count(), 2);
+            assert_eq!(store.len(), 2);
             assert!(store.estimate(7).is_some());
             assert!(store.estimate(9).is_none());
             assert_eq!(store.cells().count(), 2);
             assert!(store.memory_bytes() > 0);
-            assert!(store.memory_bits() > 0);
+            assert!(store.total_memory_bits() > 0);
             let over = store.flows_over(0.0);
             assert_eq!(over.len(), 2);
-            assert_eq!(store.estimates_vec().len(), 2);
+            assert_eq!(store.estimates().count(), 2);
             assert_eq!(store.tier_stats().flows(), 2);
             let cells = store.drain_cells();
             assert_eq!(cells.len(), 2);
-            assert_eq!(store.flow_count(), 0);
+            assert_eq!(store.len(), 0);
             for (flow, cell) in cells {
                 assert!(store.insert_cell(flow, cell).is_none());
             }
-            assert_eq!(store.flow_count(), 2);
+            assert_eq!(store.len(), 2);
             store.clear();
-            assert_eq!(store.flow_count(), 0);
+            assert_eq!(store.len(), 0);
         }
         let scheme = HashScheme::with_seed(5);
         exercise(&mut tiered_table(), scheme);
@@ -1005,24 +893,5 @@ mod tests {
         // The factory survives a drain: the table is still usable.
         t.record(9, b"c");
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work_one_release() {
-        // estimator_mut / iter / drain are shimmed for one release so
-        // external callers migrate cleanly; pin their behavior.
-        let mut t = tiered_table();
-        let scheme = HashScheme::with_seed(5);
-        t.record_hash(3, scheme.item_hash(b"x"));
-        let before = t.estimate(3).unwrap();
-        // Force-materialization must not change the estimate.
-        let est = t.estimator_mut(3);
-        assert_eq!(est.estimate(), before);
-        assert_eq!(t.cell(3).unwrap().estimator().map(|e| e.estimate()), Some(before));
-        assert_eq!(t.iter().count(), 1);
-        let drained: Vec<(u64, Smb)> = t.drain().collect();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1.estimate(), before);
     }
 }

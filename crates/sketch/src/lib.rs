@@ -11,12 +11,12 @@
 //!   demand from a factory; items are hashed once and fanned out. In
 //!   tiered mode each flow lives in a [`flow_cell::FlowCell`] that
 //!   starts as two inline machine words and only materializes a real
-//!   estimator when the flow proves it needs one.
+//!   estimator when the flow proves it needs one. It is the one
+//!   per-flow store: engine workers, grouped recording,
+//!   checkpoint/restore and the CLI all program against it.
 //! * [`flow_cell::FlowCell`] — the tiered per-flow cell
 //!   (Small → Array → Full) with exact, replay-based promotion.
-//! * [`flow_store::FlowStore`] — the unified store seam every per-flow
-//!   consumer (engine workers, grouped recording, checkpoint/restore,
-//!   CLI) programs against.
+//! * [`flow_store::TierStats`] — the table's tier-occupancy census.
 //! * [`open_table::OpenTable`] — the open-addressed (robin-hood,
 //!   backward-shift-deleting) map that backs [`flow_table::FlowTable`],
 //!   keyed by pre-hashed 64-bit flow ids, with a prefetch-pipelined
@@ -62,7 +62,7 @@ pub mod window;
 pub use array::EstimatorArray;
 pub use detector::ThresholdDetector;
 pub use flow_cell::{FlowCell, Tier, ARRAY_CAP, SMALL_CAP};
-pub use flow_store::{FlowStore, TierStats};
+pub use flow_store::TierStats;
 pub use flow_table::FlowTable;
 pub use open_table::{OpenTable, PROBE_MISS};
 pub use prefetch::{prefetch_read, PREFETCH_ACTIVE};

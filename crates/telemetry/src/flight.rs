@@ -314,6 +314,12 @@ impl FlightRecorder {
     /// writers are recording: slots caught mid-write are skipped (the
     /// seqlock validation), so the result may be shorter than `n` even
     /// with `n ≤ len()`, but never contains a torn event.
+    ///
+    /// "Oldest first" is by [`FlightEvent::at_ns`]. A writer stamps
+    /// its event before claiming a ticket, so a writer preempted in
+    /// between can hold a later ticket than an event stamped after
+    /// its own; the window is therefore sorted by timestamp (stably,
+    /// so ties keep ticket order).
     pub fn recent(&self, n: usize) -> Vec<FlightEvent> {
         let cap = self.slots.len() as u64;
         let head = self.head.load(Ordering::Acquire);
@@ -349,6 +355,7 @@ impl FlightRecorder {
             });
         }
         out.reverse();
+        out.sort_by_key(|e| e.at_ns);
         out
     }
 

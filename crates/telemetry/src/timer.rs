@@ -26,6 +26,7 @@ use crate::registry::Registry;
 
 /// Span names are free-form ("ingest.batch"); metric names are not.
 /// Map every illegal character to `_` and suffix the unit.
+#[cfg(not(feature = "telemetry-off"))]
 pub(crate) fn span_metric_name(span: &str) -> String {
     let mut name: String = span
         .chars()
@@ -143,6 +144,7 @@ impl Registry {
 mod tests {
     use super::*;
 
+    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn span_names_sanitize_to_legal_metric_names() {
         assert_eq!(span_metric_name("ingest.batch"), "ingest_batch_ns");

@@ -61,36 +61,46 @@ step "tier equivalence gates (offline): tiered cells vs eager estimators"
 cargo test -q --offline -p smb-sketch --test tiering
 cargo test -q --offline -p smb-sketch --features snapshot --test tiering
 
-step "concurrency stress suites (offline): seeded schedules, reproducible"
-# The lock-free ConcurrentSmb/AtomicBitVec path is gated by the seeded
-# stress! harness: two pinned seeds replay fixed regression schedules
-# on every run, and one clock-derived seed makes each verify run
-# explore a fresh interleaving. Any failure prints the reproducing
+step "concurrency stress suite (offline): seeded schedules, reproducible"
+# The morph flight recorder is the one lock-free structure in
+# production with a multi-step publish protocol: writers claim ring
+# slots with a ticket counter while a reader drains windows
+# concurrently. Its tear-detection test runs on
+# the seeded stress! harness: two pinned seeds replay fixed regression
+# schedules on every run, and one clock-derived seed makes each verify
+# run explore a fresh interleaving. Any failure prints the reproducing
 # SMB_STRESS_SEED, so a red clock-seed run is directly replayable.
+# Requiring "1 passed" ensures a rename cannot filter the test away.
+flight_test=flight::tests::concurrent_writers_and_reader_never_tear_events
 for seed in 0x51B0 0xC0FFEE "$(date +%s)"; do
     echo "-- stress schedules with SMB_STRESS_SEED=$seed"
-    SMB_STRESS_SEED="$seed" cargo test -q --offline -p smb-core \
-        --test concurrent_differential --test atomic_bits_prop
+    if ! stress_out="$(SMB_STRESS_SEED="$seed" cargo test --offline -p smb-telemetry --lib \
+            -- --exact "$flight_test" 2>&1)" \
+        || ! grep -q "1 passed" <<<"$stress_out"; then
+        echo "FAIL: flight-recorder stress test did not run or pass:" >&2
+        echo "$stress_out" >&2
+        exit 1
+    fi
 done
 # The harness's own self-tests (seed derivation, failure reporting)
 # run unpinned so the reproduce-line machinery itself stays covered.
 cargo test -q --offline -p smb-devtools stress
-echo "ok: stress suites green under 2 pinned seeds + 1 clock seed"
+echo "ok: flight-recorder stress suite green under 2 pinned seeds + 1 clock seed"
 
 step "thread sanitizer pass (nightly-only, degrades to SKIP)"
 # TSan needs -Zsanitizer=thread, a nightly toolchain, and the rust-src
 # component for -Zbuild-std. The container image is stable-only and
 # offline, so this degrades to a visible SKIP rather than a silent
-# pass; the seeded stress suites above remain the required gate.
+# pass; the seeded stress suite above remains the required gate.
 if command -v rustup >/dev/null 2>&1 \
     && rustup toolchain list 2>/dev/null | grep -q nightly \
     && rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q --offline \
         -Zbuild-std --target x86_64-unknown-linux-gnu \
-        -p smb-core --test concurrent_differential --test atomic_bits_prop
+        -p smb-telemetry --lib -- --exact "$flight_test"
     echo "ok: ThreadSanitizer pass clean"
 else
-    echo "SKIP: nightly toolchain (or rust-src) absent — ThreadSanitizer not run; seeded stress suites above still gate the CAS protocol"
+    echo "SKIP: nightly toolchain (or rust-src) absent — ThreadSanitizer not run; the seeded stress suite above still gates the flight recorder"
 fi
 
 step "telemetry tests (offline): metrics, morph events, exposition round-trip"
