@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smb_core::CardinalityEstimator;
-use smb_engine::{BackpressurePolicy, EngineConfig, ShardedFlowEngine};
+use smb_engine::{BackpressurePolicy, EngineConfig, EngineQuery, ShardedFlowEngine};
 use smb_factory::{Algo, AlgoSpec, DynEstimator};
 use smb_hash::{HashScheme, ItemHash};
 use smb_stream::TraceConfig;
@@ -221,4 +221,55 @@ fn stats_report_shard_balance_and_occupancy() {
     assert!(occupied > 16.0, "mean occupancy {occupied} of batch 32");
     let text = stats.to_string();
     assert!(text.contains("enqueued"), "{text}");
+}
+
+/// Read-only queries leave estimator telemetry alone. Every flow here
+/// stays in the array tier (16 distinct items), so each `TOP_K`
+/// estimate replays the stored hashes through a throwaway probe; at
+/// these budgets the factory picks `T ≤ 16`, so the replay morphs. The
+/// probe is unobserved: neither the morph counter nor the flight
+/// recorder may move on queries for flows that never materialized.
+#[test]
+fn queries_on_unmaterialized_flows_emit_no_morph_telemetry() {
+    for m in [64, 256] {
+        let spec = AlgoSpec::new(Algo::Smb).memory_bits(m).n_max(1e6);
+        let mut engine =
+            ShardedFlowEngine::new(EngineConfig::new(spec).with_shards(1)).expect("valid config");
+        for flow in 0..200u64 {
+            for item in 0..16u64 {
+                engine.ingest(flow, &(flow * 16 + item).to_le_bytes());
+            }
+        }
+        engine.flush();
+        let tiers = engine.run_query(&EngineQuery::new()).tier_stats;
+        assert_eq!((tiers.array, tiers.full), (200, 0), "m={m}: {tiers:?}");
+
+        let morphs = |engine: &ShardedFlowEngine| {
+            engine
+                .metrics_snapshot()
+                .counter_total("smb_morph_events_total")
+        };
+        let flight_events = |engine: &ShardedFlowEngine| {
+            engine
+                .flight_recorder()
+                .expect("built via new()")
+                .recorded_total()
+        };
+        let (morphs_before, flight_before) = (morphs(&engine), flight_events(&engine));
+        for _ in 0..2 {
+            let top = engine.run_query(&EngineQuery::new().with_top_k(10)).top_k;
+            assert_eq!(top.map(|t| t.len()), Some(10), "m={m}");
+        }
+        engine.flush();
+        assert_eq!(
+            morphs(&engine),
+            morphs_before,
+            "m={m}: morph counter moved on a query"
+        );
+        assert_eq!(
+            flight_events(&engine),
+            flight_before,
+            "m={m}: flight recorder moved on a query"
+        );
+    }
 }

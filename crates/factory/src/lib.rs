@@ -43,6 +43,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::cell::Cell;
+
 use smb_baselines::{Fm, Hll, HllPlusPlus, HllTailCut, Kmv, LogLog, MinCount, Mrb, SuperLogLog};
 use smb_core::{Bitmap, CardinalityEstimator, ObserverHandle, Result, Smb};
 use smb_hash::HashScheme;
@@ -281,8 +283,7 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
                     format!("SMB needs m ≥ 8 and n_max ≥ 1 (got m={m}, n_max={n_max})"),
                 ));
             }
-            let t = smb_theory::optimal_threshold(m, n_max).t;
-            Box::new(Smb::with_scheme(m, t, scheme)?)
+            Box::new(Smb::with_scheme(m, smb_threshold(m, n_max), scheme)?)
         }
         Algo::Mrb => Box::new(Mrb::for_expected_cardinality(m, n_max, scheme)?),
         Algo::Fm => Box::new(Fm::with_memory_bits_scheme(m, scheme)?),
@@ -295,6 +296,31 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
         Algo::Bjkst => Box::new(smb_baselines::Bjkst::with_memory_bits(m, scheme)?),
         Algo::MinCount => Box::new(MinCount::with_memory_bits(m, scheme)?),
         Algo::Bitmap => Box::new(Bitmap::with_scheme(m, scheme)?),
+    })
+}
+
+thread_local! {
+    /// The last SMB threshold this thread resolved, keyed on
+    /// `(m, n_max.to_bits())`. One entry suffices: an engine builds
+    /// every flow's estimator from the same spec, so each shard worker
+    /// and query thread runs the search once; a caller sweeping specs
+    /// pays it once per change, as it would without the memo.
+    static SMB_THRESHOLD: Cell<Option<(usize, u64, usize)>> = const { Cell::new(None) };
+}
+
+/// SMB's threshold `T` for `(m, n_max)`: the theory crate's §IV-B
+/// β-maximising search, memoised per thread. The search is a pure
+/// function of its inputs, so a memo hit is bit-identical to a rerun.
+/// Callers screen `m ≥ 8, n_max ≥ 1` first, so only valid specs enter.
+fn smb_threshold(m: usize, n_max: f64) -> usize {
+    let n_bits = n_max.to_bits();
+    SMB_THRESHOLD.with(|memo| match memo.get() {
+        Some((km, kn, t)) if km == m && kn == n_bits => t,
+        _ => {
+            let t = smb_theory::optimal_threshold(m, n_max).t;
+            memo.set(Some((m, n_bits, t)));
+            t
+        }
     })
 }
 
@@ -387,6 +413,64 @@ mod tests {
             !collector.events().is_empty(),
             "an observed SMB over a morph-inducing trace must report events"
         );
+    }
+
+    /// The per-thread threshold memo is unobservable: whatever specs a
+    /// thread built before (other valid specs, invalid ones, or none on
+    /// a fresh thread), a build equals an SMB constructed with a fresh
+    /// `optimal_threshold` search, state for state.
+    #[test]
+    fn threshold_memo_is_unobservable() {
+        fn check(spec: AlgoSpec) {
+            let t = smb_theory::optimal_threshold(spec.memory_bits, spec.n_max).t;
+            let mut reference = Smb::with_scheme(spec.memory_bits, t, spec.scheme()).unwrap();
+            let mut built = spec.build().expect("valid spec");
+            for i in 0..20_000u32 {
+                reference.record(&i.to_le_bytes());
+                built.record(&i.to_le_bytes());
+            }
+            let m = spec.memory_bits;
+            assert_eq!(built.max_estimate(), reference.max_estimate(), "m={m}");
+            assert_eq!(
+                built.estimate().to_bits(),
+                reference.estimate().to_bits(),
+                "m={m}"
+            );
+            #[cfg(feature = "snapshot")]
+            assert_eq!(built.snapshot_state(), reference.snapshot_state(), "m={m}");
+        }
+        // `b` shares `a`'s budget and `c` shares `b`'s `n_max`, and all
+        // three resolve different thresholds (T = 157, 256, 585): a memo
+        // keyed on either input alone would hand out a stale `T`.
+        let a = AlgoSpec::new(Algo::Smb)
+            .memory_bits(2048)
+            .n_max(1e6)
+            .seed(3);
+        let b = a.n_max(1e5);
+        let c = b.memory_bits(4096);
+        for spec in [a, b, c, a] {
+            check(spec);
+        }
+        std::thread::spawn(move || check(a)).join().unwrap();
+        for invalid in [
+            AlgoSpec::new(Algo::Smb).memory_bits(0),
+            AlgoSpec::new(Algo::Smb).n_max(f64::NAN),
+        ] {
+            check(b);
+            assert!(invalid.build().is_err(), "{invalid:?}");
+            check(b);
+            check(a);
+        }
+    }
+
+    /// The small budgets the factory accepts pick thresholds at or
+    /// below the tier ladder's 16-hash array cap; the sketch crate's
+    /// tiering suite exercises exactly these `(m, T)` pairs.
+    #[test]
+    fn small_budgets_resolve_small_thresholds() {
+        for (m, t) in [(64, 3), (128, 6), (256, 12)] {
+            assert_eq!(smb_threshold(m, 1e6), t, "m={m}");
+        }
     }
 
     #[test]

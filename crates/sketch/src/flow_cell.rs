@@ -264,13 +264,17 @@ impl<E: CardinalityEstimator> FlowCell<E> {
     /// The cell's cardinality estimate — bit-identical to the untiered
     /// path. Materialized cells answer directly; small tiers build a
     /// probe with `make`, replay their stored hashes and read its
-    /// estimate (the exact state the untiered path would hold).
+    /// estimate (the exact state the untiered path would hold). The
+    /// probe is a throwaway, so any observer `make` attached is detached
+    /// before the replay: a read must not report lifecycle events (a
+    /// small-`T` probe morphs) for a flow that never materialized.
     pub fn estimate(&self, make: impl FnOnce() -> E) -> f64 {
         match self {
             FlowCell::Full(est) => est.estimate(),
             _ => {
                 let pending = self.pending_hashes().expect("unmaterialized cell");
                 let mut probe = make();
+                probe.set_observer(None);
                 record_raw_hashes(&mut probe, pending);
                 probe.estimate()
             }

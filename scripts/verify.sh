@@ -28,6 +28,14 @@ cargo test --workspace -q --offline
 step "snapshot feature tests (offline)"
 cargo test -q --offline --features snapshot
 
+step "perfbench build + self-check (offline): the benchmark still compiles against the crates"
+# perfbench is a Cargo package of its own, outside the workspace, that
+# calls AlgoSpec::build, optimal_threshold, FlowTable::tiered,
+# record_batch_grouped and QueryHandle. Building and self-checking it
+# here turns API drift in those crates into a verify failure instead
+# of a broken benchmark.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "engine tests (offline): shard invariance + backpressure"
 cargo test -q --offline -p smb-engine
 
