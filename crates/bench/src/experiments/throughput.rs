@@ -121,6 +121,7 @@ pub fn run_table6() -> String {
 mod tests {
     use super::*;
     use crate::algos::Algo;
+    use crate::runner::smb_record_two_hash;
 
     #[test]
     fn smb_recording_grows_with_cardinality() {
@@ -144,6 +145,36 @@ mod tests {
             mrb_large < 2.0 * mrb_small && mrb_small < 2.0 * mrb_large,
             "MRB should stay flat: {mrb_small} vs {mrb_large}"
         );
+    }
+
+    /// The mechanism behind `smb_recording_grows_with_cardinality`,
+    /// without the clock: the share of items that pass SMB's sampling
+    /// test and so pay the H-hash falls as `n` grows. Both streams are
+    /// seeded, so the counts are exact.
+    #[test]
+    fn smb_hashes_fewer_items_as_cardinality_grows() {
+        let m = 5000;
+        let t = smb_theory::optimal_threshold(m, N_MAX).t;
+        let count = |items: &ItemBuffer| {
+            let scheme_g = smb_hash::HashScheme::with_seed(0);
+            let mut est = smb_core::Smb::with_scheme(m, t, scheme_g).expect("valid SMB params");
+            let hashed = smb_record_two_hash(&mut est, items, scheme_g, scheme_g.derive(1));
+            (hashed, items.len() as u64)
+        };
+        let small = count(&ItemBuffer::tiled(
+            StreamSpec::distinct(1_000, 1).item_len(128),
+            200_000,
+        ));
+        let large = count(&ItemBuffer::from_spec(
+            StreamSpec::distinct(1_000_000, 2).item_len(128),
+        ));
+        assert!(
+            (large.0 as f64 / large.1 as f64) < (small.0 as f64 / small.1 as f64),
+            "H-hashes per item must fall: 1k {small:?}, 1M {large:?}"
+        );
+        // ~1 in 2 items of the tiled 1k stream pays the H-hash, ~1 in
+        // 144 of the 1M stream.
+        assert_eq!((small, large), ((100_414, 200_000), (6_921, 1_000_000)));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use smb_core::CardinalityEstimator;
+use smb_hash::{HashScheme, ItemHash};
 use smb_stream::items::StreamSpec;
 
 use crate::algos::{build_estimator, Algo};
@@ -137,7 +138,6 @@ pub fn recording_throughput_two_hash_mdps(
     n_max: f64,
     items: &ItemBuffer,
 ) -> f64 {
-    use smb_hash::{HashScheme, ItemHash};
     let mut total_items = 0u64;
     let mut elapsed = Duration::ZERO;
     let mut round = 0u64;
@@ -149,14 +149,7 @@ pub fn recording_throughput_two_hash_mdps(
             let mut est =
                 smb_core::Smb::with_scheme(m, t, scheme_g).expect("valid SMB params");
             let start = Instant::now();
-            for item in items.iter() {
-                let g_lane = (scheme_g.hash64(item) >> 32) as u32;
-                // SMB's Step 1: drop before paying for H(d).
-                if smb_hash::geometric_rank_capped(g_lane) >= est.round() {
-                    let h_lane = scheme_h.hash64(item) as u32;
-                    est.record_hash(ItemHash::new(((g_lane as u64) << 32) | h_lane as u64));
-                }
-            }
+            black_box(smb_record_two_hash(&mut est, items, scheme_g, scheme_h));
             elapsed += start.elapsed();
             black_box(est.estimate());
         } else {
@@ -174,6 +167,30 @@ pub fn recording_throughput_two_hash_mdps(
         round += 1;
     }
     (total_items as f64 / elapsed.as_secs_f64()) / 1e6
+}
+
+/// Record `items` into `est` under the two-hash cost model of
+/// [`recording_throughput_two_hash_mdps`]: the G-hash (`scheme_g`'s
+/// geometric lane) for every item, the H-hash (`scheme_h`'s index
+/// lane) only for items that pass SMB's sampling test. Returns how
+/// many items paid the H-hash — the work that shrinks as `n` grows.
+pub fn smb_record_two_hash(
+    est: &mut smb_core::Smb,
+    items: &ItemBuffer,
+    scheme_g: HashScheme,
+    scheme_h: HashScheme,
+) -> u64 {
+    let mut h_hashes = 0;
+    for item in items.iter() {
+        let g_lane = (scheme_g.hash64(item) >> 32) as u32;
+        // SMB's Step 1: drop before paying for H(d).
+        if smb_hash::geometric_rank_capped(g_lane) >= est.round() {
+            h_hashes += 1;
+            let h_lane = scheme_h.hash64(item) as u32;
+            est.record_hash(ItemHash::new(((g_lane as u64) << 32) | h_lane as u64));
+        }
+    }
+    h_hashes
 }
 
 /// Per-packet record-then-query throughput (the online detector loop).

@@ -42,5 +42,5 @@ pub use bits::BitVec;
 pub use error::{Error, Result};
 pub use observe::{EstimatorEvent, MorphCollector, MorphEvent, ObserverHandle, SmbObserver};
 pub use sampled::SampledBitmap;
-pub use smb::{Smb, SmbBuilder, SmbSnapshot};
+pub use smb::{Smb, SmbBuilder, SmbParams, SmbSnapshot};
 pub use traits::{CardinalityEstimator, MergeableEstimator};

@@ -24,6 +24,12 @@
 //! n̂ = S[r] − 2ʳ · m · ln(1 − v / (m − r·T))          (paper Eq. 11)
 //! ```
 //!
+//! Everything that depends only on `(m, T)` — the round budget and the
+//! S-table — lives in an immutable [`SmbParams`] block that SMBs built
+//! from one spec share through an `Arc`. The block can also answer for
+//! an SMB that was never built: [`SmbParams::estimate_of_hashes`] runs
+//! the recording state machine over `(r, v)` for a short hash list.
+//!
 //! # Invariants (checked in tests and `debug_assert`s)
 //!
 //! * total ones in the physical bitmap = `r·T + v`;
@@ -38,6 +44,8 @@
 //! In the final permissible round (`r = ⌊m/T⌋ − 1`) the round counter
 //! stops advancing and `v` may grow past `T` toward `m_r`; the estimate
 //! clamps at `v = m_r − 1`. [`Smb::is_saturated`] reports this state.
+
+use std::sync::Arc;
 
 use smb_hash::{HashScheme, ItemHash};
 
@@ -70,19 +78,21 @@ const BATCH_PREFILTER_MIN: usize = 32;
 #[derive(Debug, Clone)]
 pub struct Smb {
     bits: BitVec,
-    /// Physical size `m` in bits.
+    /// Physical size `m` in bits (a copy of `params.m`, kept inline so
+    /// the record path never dereferences the shared block).
     m: usize,
-    /// Morphing threshold `T`.
+    /// Morphing threshold `T` (inline copy of `params.t`).
     t: usize,
     /// Current round index `r` (sampling probability `2⁻ʳ`).
     r: u32,
     /// Fresh bits set in the current round.
     v: usize,
-    /// Maximum number of rounds, `⌊m/T⌋`.
+    /// Maximum number of rounds, `⌊m/T⌋` (inline copy of
+    /// `params.max_rounds`).
     max_rounds: u32,
-    /// `S[i]` for `i ∈ 0..=max_rounds−1`: the cumulative estimate of all
-    /// *closed* rounds before round `i` (Eq. 9). `S[0] = 0`.
-    s_table: Vec<f64>,
+    /// The immutable `(m, T, S)` block, shared by every SMB built from
+    /// the same parameters.
+    params: Arc<SmbParams>,
     scheme: HashScheme,
     /// Items offered (duplicates and sampled-out included) since the
     /// last morph — reported in [`MorphEvent::items_since_last_morph`].
@@ -112,23 +122,27 @@ impl Smb {
 
     /// An SMB with an explicit hash scheme.
     pub fn with_scheme(m: usize, t: usize, scheme: HashScheme) -> Result<Self> {
-        validate_params(m, t)?;
-        let max_rounds = (m / t) as u32;
-        let s_table = build_s_table(m, t, max_rounds);
-        Ok(Smb {
-            bits: BitVec::new(m),
-            m,
-            t,
+        Ok(Self::with_params(Arc::new(SmbParams::new(m, t)?), scheme))
+    }
+
+    /// An empty SMB over an existing parameter block. Infallible (the
+    /// block was validated when it was built) and cheap: one `Arc`
+    /// clone plus the bitmap allocation, with no S-table to compute.
+    pub fn with_params(params: Arc<SmbParams>, scheme: HashScheme) -> Self {
+        Smb {
+            bits: BitVec::new(params.m),
+            m: params.m,
+            t: params.t,
             r: 0,
             v: 0,
-            max_rounds,
-            s_table,
+            max_rounds: params.max_rounds,
+            params,
             scheme,
             items_since_morph: 0,
             observer: None,
             saturation_emitted: false,
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// Start building an SMB by memory budget and expected stream size.
@@ -172,7 +186,7 @@ impl Smb {
     /// The precomputed cumulative estimate of closed rounds, `S[r]`.
     /// Exposed for the theory crate's cross-checks.
     pub fn s_value(&self, round: u32) -> f64 {
-        self.s_table[round as usize]
+        self.params.s_value(round)
     }
 
     /// O(1) snapshot of the queryable state — exactly the two integers
@@ -185,12 +199,7 @@ impl Smb {
     /// configuration's S-table (Algorithm 2). Used by snapshots and by
     /// time-series monitors that archive `(r, v)` pairs.
     pub fn estimate_at(&self, r: u32, v: usize) -> f64 {
-        debug_assert!(r < self.max_rounds);
-        let m_r = self.m - (r as usize) * self.t;
-        // Clamp a saturated final round at its largest useful fill.
-        let v = v.min(m_r - 1);
-        self.s_table[r as usize]
-            - 2f64.powi(r as i32) * (self.m as f64) * (1.0 - v as f64 / m_r as f64).ln()
+        self.params.estimate_at(r, v)
     }
 
     /// Total ones in the physical bitmap. O(1): follows from the
@@ -229,7 +238,7 @@ impl Smb {
                 fresh_bits_at_close: self.v,
                 logical_size: self.m - (closed as usize) * self.t,
                 items_since_last_morph: items,
-                estimate_at_close: self.s_table[(closed + 1) as usize],
+                estimate_at_close: self.params.s_value(closed + 1),
             };
             observer.emit(EstimatorEvent::Morph(&event));
         }
@@ -419,12 +428,7 @@ impl CardinalityEstimator for Smb {
     }
 
     fn max_estimate(&self) -> f64 {
-        let last = self.max_rounds - 1;
-        let m_last = self.m - (last as usize) * self.t;
-        self.s_table[last as usize]
-            + 2f64.powi(last as i32)
-                * (self.m as f64)
-                * (m_last as f64).ln()
+        self.params.max_estimate()
     }
 
     fn is_saturated(&self) -> bool {
@@ -462,7 +466,7 @@ fn validate_params(m: usize, t: usize) -> Result<()> {
 
 /// Precompute `S[i] = Σ_{j<i} −2ʲ·m·ln(1 − T/m_j)` (Eq. 9), the
 /// cumulative estimate of all closed rounds before round `i`.
-fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Vec<f64> {
+fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Box<[f64]> {
     let mut s = Vec::with_capacity(max_rounds as usize);
     let mut acc = 0.0f64;
     for i in 0..max_rounds {
@@ -471,7 +475,129 @@ fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Vec<f64> {
         // Closed round i contributes −2ⁱ·m·ln(1 − T/m_i).
         acc += -(2f64.powi(i as i32)) * (m as f64) * (1.0 - t as f64 / m_i).ln();
     }
-    s
+    s.into_boxed_slice()
+}
+
+/// Hash lists up to this long replay on the stack in
+/// [`SmbParams::estimate_of_hashes`]: the sketch crate's unmaterialized
+/// tiers hold at most 16 hashes.
+const INLINE_REPLAY: usize = 16;
+
+/// The immutable half of an SMB: `m`, `T`, the round budget `⌊m/T⌋`
+/// and the S-table of Eq. 9. It depends only on `(m, T)`, so every SMB
+/// built from one spec can share a single block through an `Arc`
+/// ([`Smb::with_params`]), and a query that already knows `(r, v)`
+/// needs nothing else — [`SmbParams::estimate_at`] is Algorithm 2.
+#[derive(Debug, PartialEq)]
+pub struct SmbParams {
+    m: usize,
+    t: usize,
+    max_rounds: u32,
+    /// `S[i]` for `i ∈ 0..max_rounds`: the cumulative estimate of all
+    /// *closed* rounds before round `i` (Eq. 9). `S[0] = 0`.
+    s_table: Box<[f64]>,
+}
+
+impl SmbParams {
+    /// The parameter block for `m` bits and threshold `t`.
+    ///
+    /// # Errors
+    /// The same `(m, t)` constraints as [`Smb::new`].
+    pub fn new(m: usize, t: usize) -> Result<Self> {
+        validate_params(m, t)?;
+        let max_rounds = (m / t) as u32;
+        Ok(SmbParams {
+            m,
+            t,
+            max_rounds,
+            s_table: build_s_table(m, t, max_rounds),
+        })
+    }
+
+    /// The morphing threshold `T`.
+    pub fn threshold(&self) -> usize {
+        self.t
+    }
+
+    /// Maximum number of rounds, `⌊m/T⌋`.
+    pub fn max_rounds(&self) -> u32 {
+        self.max_rounds
+    }
+
+    /// The precomputed cumulative estimate of closed rounds, `S[r]`.
+    pub fn s_value(&self, round: u32) -> f64 {
+        self.s_table[round as usize]
+    }
+
+    /// The estimate of an SMB in state `(r, v)` (Algorithm 2, Eq. 11).
+    /// The one copy of the formula: [`Smb::estimate`] and
+    /// [`Smb::estimate_at`] evaluate through it.
+    pub fn estimate_at(&self, r: u32, v: usize) -> f64 {
+        debug_assert!(r < self.max_rounds);
+        let m_r = self.m - (r as usize) * self.t;
+        // Clamp a saturated final round at its largest useful fill.
+        let v = v.min(m_r - 1);
+        self.s_table[r as usize]
+            - 2f64.powi(r as i32) * (self.m as f64) * (1.0 - v as f64 / m_r as f64).ln()
+    }
+
+    /// The largest estimate this configuration can report (the final
+    /// round's logical bitmap one bit short of full).
+    pub fn max_estimate(&self) -> f64 {
+        let last = self.max_rounds - 1;
+        let m_last = self.m - (last as usize) * self.t;
+        self.s_table[last as usize]
+            + 2f64.powi(last as i32) * (self.m as f64) * (m_last as f64).ln()
+    }
+
+    /// The estimate a fresh SMB over these parameters reports after
+    /// recording `raws` (raw [`ItemHash`] words) in order, bit for bit,
+    /// without building one.
+    ///
+    /// It runs [`Smb::record_hash`]'s state machine over `(r, v)` and
+    /// the set of bit indices set so far: an item is sampled out
+    /// unless the low `r` bits of its geometric lane are zero, is
+    /// fresh only if its `index(m)` is not yet in the set, and a fresh
+    /// item closes the round when `v` reaches `T` unless the round is
+    /// the final one. Up to 16 hashes run on the stack; longer lists
+    /// fall back to an `m`-bit scratch bitmap.
+    pub fn estimate_of_hashes(&self, raws: &[u64]) -> f64 {
+        let (r, v) = if raws.len() <= INLINE_REPLAY {
+            let mut set = [0usize; INLINE_REPLAY];
+            let mut len = 0;
+            self.replay(raws, |idx| {
+                let fresh = !set[..len].contains(&idx);
+                if fresh {
+                    set[len] = idx;
+                    len += 1;
+                }
+                fresh
+            })
+        } else {
+            let mut bits = BitVec::new(self.m);
+            self.replay(raws, |idx| bits.set(idx))
+        };
+        self.estimate_at(r, v)
+    }
+
+    /// `(r, v)` after recording `raws` into an empty SMB, where
+    /// `insert(idx)` sets bit `idx` and reports whether it was fresh.
+    fn replay(&self, raws: &[u64], mut insert: impl FnMut(usize) -> bool) -> (u32, usize) {
+        let (mut r, mut v) = (0u32, 0usize);
+        for &raw in raws {
+            if r > 32 || (raw >> 32) & ((1u64 << r) - 1) != 0 {
+                continue;
+            }
+            if insert(ItemHash::new(raw).index(self.m)) {
+                v += 1;
+                if r + 1 < self.max_rounds && v >= self.t {
+                    r += 1;
+                    v = 0;
+                }
+            }
+        }
+        (r, v)
+    }
 }
 
 /// The two integers `(r, v)` that fully determine an SMB estimate —

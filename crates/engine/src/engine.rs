@@ -34,10 +34,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use smb_core::{CardinalityEstimator, EstimatorEvent, ObserverHandle, SmbObserver as _};
+use smb_core::{CardinalityEstimator, EstimatorEvent, ObserverHandle, SmbObserver as _, SmbParams};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::{mix, HashScheme, ItemHash};
-use smb_sketch::{FlowTable, TierStats};
+use smb_sketch::{FlowFactory, FlowTable, TierStats};
 use smb_telemetry::{
     BatchedMetricsObserver, FlightEvent, FlightEventKind, FlightRecorder, Histogram, Registry,
     RegistrySnapshot,
@@ -56,7 +56,28 @@ pub type EstimatorFactory = dyn Fn(u64) -> DynEstimator + Send + Sync;
 /// The concrete table type a shard worker owns. This is where the
 /// `Send` requirement on flow-table factories lives — single-threaded
 /// [`FlowTable`] users are free of it.
-pub type ShardTable = FlowTable<DynEstimator, Box<dyn Fn(u64) -> DynEstimator + Send>>;
+pub type ShardTable = FlowTable<DynEstimator, Box<dyn FlowFactory<DynEstimator> + Send>>;
+
+/// The shard factory of an engine built from an SMB spec
+/// ([`ShardedFlowEngine::new`]): estimators come from the engine's
+/// factory, and flows that have not materialized one are answered in
+/// closed form from the spec's shared parameter block, so a query
+/// builds no probe. Engines with a custom factory keep the replay
+/// default.
+struct SmbShardFactory {
+    factory: Arc<EstimatorFactory>,
+    params: Arc<SmbParams>,
+}
+
+impl FlowFactory<DynEstimator> for SmbShardFactory {
+    fn build(&self, flow: u64) -> DynEstimator {
+        (self.factory)(flow)
+    }
+
+    fn estimate_unmaterialized(&self, _flow: u64, raws: &[u64]) -> f64 {
+        self.params.estimate_of_hashes(raws)
+    }
+}
 
 /// One (flow key, pre-computed hash) pair in flight.
 type Entry = (u64, ItemHash);
@@ -287,7 +308,7 @@ fn few_flows_dominate(batch: &[(u64, ItemHash)]) -> bool {
 ///   batch goes to [`FlowTable::record_batch`]: a prefetch-pipelined
 ///   probe pass plus inline-tier recording, whose item order is
 ///   exactly batch order.
-pub fn record_batch_grouped<E: CardinalityEstimator, F: Fn(u64) -> E>(
+pub fn record_batch_grouped<E: CardinalityEstimator, F: FlowFactory<E>>(
     table: &mut FlowTable<E, F>,
     batch: &[(u64, ItemHash)],
     scratch: &mut GroupScratch,
@@ -807,7 +828,15 @@ impl ShardedFlowEngine {
             spec.build_observed(Some(observer.clone()))
                 .expect("spec validated at engine construction")
         });
-        Self::build(config, spec.scheme(), factory, registry, Some(telemetry))
+        let smb = spec.smb_params();
+        Self::build(
+            config,
+            spec.scheme(),
+            factory,
+            smb,
+            registry,
+            Some(telemetry),
+        )
     }
 
     /// Spawn an engine with a custom estimator factory. `scheme` must
@@ -830,13 +859,16 @@ impl ShardedFlowEngine {
         factory: Arc<EstimatorFactory>,
         registry: Arc<Registry>,
     ) -> smb_core::Result<Self> {
-        Self::build(config, scheme, factory, registry, None)
+        Self::build(config, scheme, factory, None, registry, None)
     }
 
+    /// `smb` is the spec's SMB parameter block when every estimator
+    /// `factory` builds is an SMB over it.
     fn build(
         config: EngineConfig,
         scheme: HashScheme,
         factory: Arc<EstimatorFactory>,
+        smb: Option<Arc<SmbParams>>,
         registry: Arc<Registry>,
         telemetry: Option<EngineTelemetry>,
     ) -> smb_core::Result<Self> {
@@ -845,14 +877,20 @@ impl ShardedFlowEngine {
         for shard in 0..config.shards {
             let (tx, rx) = bounded::<Batch>(config.queue_batches);
             let metrics = Arc::new(ShardMetrics::register(&registry, shard));
-            let shard_factory = Arc::clone(&factory);
+            let shard_factory: Box<dyn FlowFactory<DynEstimator> + Send> = match &smb {
+                Some(params) => Box::new(SmbShardFactory {
+                    factory: Arc::clone(&factory),
+                    params: Arc::clone(params),
+                }),
+                None => {
+                    let factory = Arc::clone(&factory);
+                    Box::new(move |flow| (factory)(flow))
+                }
+            };
             // Tiered tables: tiny flows stay as inline hash cells and
             // only materialize a spec-built estimator once they prove
             // they need one. Estimates are bit-identical either way.
-            let mut shard_table: ShardTable = FlowTable::with_factory_tiered(
-                scheme,
-                Box::new(move |flow| (shard_factory)(flow)),
-            );
+            let mut shard_table: ShardTable = FlowTable::with_factory_tiered(scheme, shard_factory);
             if config.expected_flows > 0 {
                 // Flows partition ~evenly across shards; the extra 1/8
                 // absorbs hash-placement skew so the common case still
@@ -1707,6 +1745,18 @@ mod tests {
         AlgoSpec::new(Algo::Smb).memory_bits(2048).n_max(1e5).seed(3)
     }
 
+    /// `memory_bytes` counts `size_of::<ShardTable>()` per shard, so
+    /// the factory that answers unmaterialized SMB cells must cost the
+    /// table nothing over the closure it replaced.
+    #[test]
+    fn shard_factory_fits_in_a_closure_sized_table() {
+        type ClosureTable = FlowTable<DynEstimator, Box<dyn Fn(u64) -> DynEstimator + Send>>;
+        assert_eq!(
+            std::mem::size_of::<ShardTable>(),
+            std::mem::size_of::<ClosureTable>()
+        );
+    }
+
     #[test]
     fn config_validation() {
         assert!(ShardedFlowEngine::new(EngineConfig::new(spec()).with_shards(0)).is_err());
@@ -2132,8 +2182,9 @@ mod tests {
         let sp = spec();
         let scheme = sp.scheme();
         let sp2 = sp.clone();
-        let mut grouped = FlowTable::with_factory_tiered(scheme.clone(), move |_| sp.build().unwrap());
-        let mut reference = FlowTable::with_factory_tiered(scheme.clone(), move |_| sp2.build().unwrap());
+        let mut grouped = FlowTable::with_factory_tiered(scheme, move |_: u64| sp.build().unwrap());
+        let mut reference =
+            FlowTable::with_factory_tiered(scheme, move |_: u64| sp2.build().unwrap());
         let mut scratch = GroupScratch::default();
         let mut state = 0x5EED_u64;
         for round in 0..40u64 {

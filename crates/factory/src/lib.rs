@@ -43,10 +43,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::cell::Cell;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use smb_baselines::{Fm, Hll, HllPlusPlus, HllTailCut, Kmv, LogLog, MinCount, Mrb, SuperLogLog};
-use smb_core::{Bitmap, CardinalityEstimator, ObserverHandle, Result, Smb};
+use smb_core::{Bitmap, CardinalityEstimator, ObserverHandle, Result, Smb, SmbParams};
 use smb_hash::HashScheme;
 
 #[cfg(feature = "snapshot")]
@@ -244,6 +245,20 @@ impl AlgoSpec {
     pub fn build_observed(&self, observer: Option<ObserverHandle>) -> Result<DynEstimator> {
         build_estimator_observed(*self, observer)
     }
+
+    /// The shared `(m, T, S)` block every SMB built from this spec
+    /// evaluates against, or `None` when the spec is not a valid SMB
+    /// spec. Holders can answer SMB queries from `(r, v)` or from a
+    /// short hash list ([`SmbParams::estimate_of_hashes`]) without
+    /// building an estimator. Comes from the same per-thread memo as
+    /// [`build_estimator`], so on one thread it is the very block the
+    /// last build of this spec shares.
+    pub fn smb_params(&self) -> Option<Arc<SmbParams>> {
+        match self.algo {
+            Algo::Smb => smb_params(self.memory_bits, self.n_max).ok(),
+            _ => None,
+        }
+    }
 }
 
 /// Build the estimator described by `spec` — the one
@@ -274,17 +289,7 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
     } = spec;
     let scheme = HashScheme::with_seed(seed);
     Ok(match algo {
-        Algo::Smb => {
-            // Screen the budget before the theory crate's threshold
-            // search, which asserts (rather than errors) on tiny `m`.
-            if m < 8 || !(n_max >= 1.0) {
-                return Err(smb_core::Error::invalid(
-                    "memory_bits",
-                    format!("SMB needs m ≥ 8 and n_max ≥ 1 (got m={m}, n_max={n_max})"),
-                ));
-            }
-            Box::new(Smb::with_scheme(m, smb_threshold(m, n_max), scheme)?)
-        }
+        Algo::Smb => Box::new(Smb::with_params(smb_params(m, n_max)?, scheme)),
         Algo::Mrb => Box::new(Mrb::for_expected_cardinality(m, n_max, scheme)?),
         Algo::Fm => Box::new(Fm::with_memory_bits_scheme(m, scheme)?),
         Algo::HllPlusPlus => Box::new(HllPlusPlus::with_memory_bits(m, scheme)?),
@@ -300,27 +305,42 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
 }
 
 thread_local! {
-    /// The last SMB threshold this thread resolved, keyed on
+    /// The last SMB parameter block this thread resolved, keyed on
     /// `(m, n_max.to_bits())`. One entry suffices: an engine builds
     /// every flow's estimator from the same spec, so each shard worker
-    /// and query thread runs the search once; a caller sweeping specs
-    /// pays it once per change, as it would without the memo.
-    static SMB_THRESHOLD: Cell<Option<(usize, u64, usize)>> = const { Cell::new(None) };
+    /// and query thread runs the threshold search and the S-table
+    /// once, and every build after that shares the block; a caller
+    /// sweeping specs pays them once per change, as it would without
+    /// the memo.
+    static SMB_PARAMS: RefCell<Option<(usize, u64, Arc<SmbParams>)>> =
+        const { RefCell::new(None) };
 }
 
-/// SMB's threshold `T` for `(m, n_max)`: the theory crate's §IV-B
-/// β-maximising search, memoised per thread. The search is a pure
-/// function of its inputs, so a memo hit is bit-identical to a rerun.
-/// Callers screen `m ≥ 8, n_max ≥ 1` first, so only valid specs enter.
-fn smb_threshold(m: usize, n_max: f64) -> usize {
+/// SMB's parameter block for `(m, n_max)`: `T` from the theory crate's
+/// §IV-B β-maximising search plus the S-table, memoised per thread.
+/// Both are pure functions of the inputs, so a memo hit is
+/// bit-identical to a rebuild. Invalid specs error before they reach
+/// the search and never enter the memo.
+fn smb_params(m: usize, n_max: f64) -> Result<Arc<SmbParams>> {
+    // Screen the budget before the theory crate's threshold search,
+    // which asserts (rather than errors) on tiny `m`.
+    if m < 8 || n_max.is_nan() || n_max < 1.0 {
+        return Err(smb_core::Error::invalid(
+            "memory_bits",
+            format!("SMB needs m ≥ 8 and n_max ≥ 1 (got m={m}, n_max={n_max})"),
+        ));
+    }
     let n_bits = n_max.to_bits();
-    SMB_THRESHOLD.with(|memo| match memo.get() {
-        Some((km, kn, t)) if km == m && kn == n_bits => t,
-        _ => {
-            let t = smb_theory::optimal_threshold(m, n_max).t;
-            memo.set(Some((m, n_bits, t)));
-            t
+    SMB_PARAMS.with(|memo| {
+        if let Some((km, kn, params)) = &*memo.borrow() {
+            if *km == m && *kn == n_bits {
+                return Ok(Arc::clone(params));
+            }
         }
+        let t = smb_theory::optimal_threshold(m, n_max).t;
+        let params = Arc::new(SmbParams::new(m, t)?);
+        *memo.borrow_mut() = Some((m, n_bits, Arc::clone(&params)));
+        Ok(params)
     })
 }
 
@@ -415,16 +435,28 @@ mod tests {
         );
     }
 
-    /// The per-thread threshold memo is unobservable: whatever specs a
+    /// The per-thread parameter memo is unobservable: whatever specs a
     /// thread built before (other valid specs, invalid ones, or none on
     /// a fresh thread), a build equals an SMB constructed with a fresh
-    /// `optimal_threshold` search, state for state.
+    /// `optimal_threshold` search and S-table, state for state — and
+    /// two builds in a row share one parameter block.
     #[test]
     fn threshold_memo_is_unobservable() {
         fn check(spec: AlgoSpec) {
             let t = smb_theory::optimal_threshold(spec.memory_bits, spec.n_max).t;
             let mut reference = Smb::with_scheme(spec.memory_bits, t, spec.scheme()).unwrap();
+            let params = spec.smb_params().expect("valid SMB spec");
+            assert_eq!(*params, SmbParams::new(spec.memory_bits, t).unwrap());
+            let held = Arc::strong_count(&params);
             let mut built = spec.build().expect("valid spec");
+            let second = spec.build().expect("valid spec");
+            assert_eq!(
+                Arc::strong_count(&params),
+                held + 2,
+                "both builds share the memo's block"
+            );
+            drop(second);
+            assert!(Arc::ptr_eq(&params, &spec.smb_params().unwrap()));
             for i in 0..20_000u32 {
                 reference.record(&i.to_le_bytes());
                 built.record(&i.to_le_bytes());
@@ -464,13 +496,34 @@ mod tests {
     }
 
     /// The small budgets the factory accepts pick thresholds at or
-    /// below the tier ladder's 16-hash array cap; the sketch crate's
-    /// tiering suite exercises exactly these `(m, T)` pairs.
+    /// below the tier ladder's 16-hash array cap, and the serve
+    /// default (m = 2048) one above it; the sketch crate's tiering
+    /// suite exercises exactly these `(m, T)` pairs.
     #[test]
     fn small_budgets_resolve_small_thresholds() {
-        for (m, t) in [(64, 3), (128, 6), (256, 12)] {
-            assert_eq!(smb_threshold(m, 1e6), t, "m={m}");
+        for (m, t) in [(64, 3), (128, 6), (256, 12), (2048, 157)] {
+            let params = smb_params(m, 1e6).unwrap();
+            assert_eq!(params.threshold(), t, "m={m}");
         }
+    }
+
+    #[test]
+    fn builds_of_one_spec_share_one_parameter_block() {
+        let spec = AlgoSpec::new(Algo::Smb)
+            .memory_bits(2048)
+            .n_max(1e6)
+            .seed(5);
+        let a = spec.smb_params().expect("valid SMB spec");
+        let b = spec.seed(6).smb_params().expect("valid SMB spec");
+        assert!(Arc::ptr_eq(&a, &b), "the seed is not part of the block");
+        let base = Arc::strong_count(&a);
+        let built: Vec<_> = (0..3).map(|_| spec.build().unwrap()).collect();
+        assert_eq!(Arc::strong_count(&a), base + 3, "builds clone the handle");
+        drop(built);
+        assert_eq!(Arc::strong_count(&a), base);
+        assert!(AlgoSpec::new(Algo::Hll).smb_params().is_none());
+        assert!(spec.memory_bits(0).smb_params().is_none());
+        assert!(spec.n_max(f64::NAN).smb_params().is_none());
     }
 
     #[test]

@@ -24,10 +24,15 @@
 //! hash — sound because every estimator in the workspace derives all
 //! of its behaviour from the 64-bit [`ItemHash`] (equal raws are
 //! indistinguishable downstream) and the estimator trait contract
-//! makes duplicate records state-neutral. Estimates from unmaterialized
-//! tiers replay the stored hashes through a fresh factory-built probe,
-//! so *every* observable of a tiered cell is bit-identical to the
-//! untiered path at every point in the flow's life.
+//! makes duplicate records state-neutral. An unmaterialized cell's
+//! estimate is what a fresh estimator reports after recording its
+//! stored hashes: [`FlowCell::estimate`] replays them through a
+//! factory-built probe, and a `FlowTable` asks its factory
+//! ([`FlowFactory`](crate::FlowFactory)), which replays the same way
+//! unless it can compute the value without building — SMB's closed
+//! form from `(r, v)`. So *every* observable of a tiered cell is
+//! bit-identical to the untiered path at every point in the flow's
+//! life.
 
 use smb_core::CardinalityEstimator;
 use smb_hash::ItemHash;
@@ -271,13 +276,7 @@ impl<E: CardinalityEstimator> FlowCell<E> {
     pub fn estimate(&self, make: impl FnOnce() -> E) -> f64 {
         match self {
             FlowCell::Full(est) => est.estimate(),
-            _ => {
-                let pending = self.pending_hashes().expect("unmaterialized cell");
-                let mut probe = make();
-                probe.set_observer(None);
-                record_raw_hashes(&mut probe, pending);
-                probe.estimate()
-            }
+            _ => replay_estimate(make(), self.pending_hashes().expect("unmaterialized cell")),
         }
     }
 
@@ -322,6 +321,15 @@ impl<E: CardinalityEstimator> FlowCell<E> {
                 .map_or(0, |pending| 64 * pending.len()),
         }
     }
+}
+
+/// What `probe`, a freshly built estimator, reports after recording
+/// an unmaterialized cell's `raws`: the untiered estimate. The probe is
+/// a throwaway, so its observer is detached before the replay.
+pub(crate) fn replay_estimate<E: CardinalityEstimator>(mut probe: E, raws: &[u64]) -> f64 {
+    probe.set_observer(None);
+    record_raw_hashes(&mut probe, raws);
+    probe.estimate()
 }
 
 /// Replay raw hash words through an estimator's batched path, exactly

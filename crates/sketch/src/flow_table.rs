@@ -27,21 +27,64 @@
 //! [`ARRAY_CAP`]: crate::flow_cell::ARRAY_CAP
 //!
 //! The table is generic over its factory type `F` (defaulting to a
-//! boxed closure). Notably the factory carries **no `Send` bound**: a
-//! table used on one thread may capture non-`Send` state. A table only
-//! crosses threads when both `E` and `F` are `Send` — the sharded
-//! engine (`smb-engine`) pins that requirement on its own shard type
-//! rather than imposing it on every single-threaded caller.
+//! boxed closure): any [`FlowFactory`], which every `Fn(u64) -> E`
+//! closure is. The factory also answers estimates for flows still in
+//! an inline tier; closures do it by replaying the stored hashes
+//! through a fresh, unobserved factory-built probe, and a factory that
+//! can compute the same value without building one (the engine's SMB
+//! factory, from the spec's shared parameter block) overrides it.
+//! Notably the factory carries **no `Send` bound**: a table used on
+//! one thread may capture non-`Send` state. A table only crosses
+//! threads when both `E` and `F` are `Send` — the sharded engine
+//! (`smb-engine`) pins that requirement on its own shard type rather
+//! than imposing it on every single-threaded caller.
 
 use smb_core::CardinalityEstimator;
 use smb_hash::{HashScheme, ItemHash};
 
-use crate::flow_cell::{FlowCell, Tier};
+use crate::flow_cell::{replay_estimate, FlowCell, Tier};
 use crate::flow_store::TierStats;
 use crate::open_table::{OpenTable, PROBE_MISS};
 
 /// The default factory representation: a boxed, thread-local closure.
 pub type BoxedFactory<E> = Box<dyn Fn(u64) -> E>;
+
+/// How a [`FlowTable`] builds its flows' estimators, and how it answers
+/// for flows that have not materialized one.
+///
+/// Every `Fn(u64) -> E` closure is a `FlowFactory` with the default
+/// answer, so closure callers need nothing from this trait.
+pub trait FlowFactory<E: CardinalityEstimator> {
+    /// Build an empty estimator for `flow`.
+    fn build(&self, flow: u64) -> E;
+
+    /// The estimate of an unmaterialized `flow` whose cell holds the
+    /// distinct raw hashes `raws` (at most
+    /// [`ARRAY_CAP`](crate::flow_cell::ARRAY_CAP)), in arrival order.
+    /// It must equal, bit for bit, what `build(flow)` reports after
+    /// recording `raws`. The default does exactly that, on a throwaway
+    /// probe with its observer detached; override it when the value
+    /// can be computed without building.
+    fn estimate_unmaterialized(&self, flow: u64, raws: &[u64]) -> f64 {
+        replay_estimate(self.build(flow), raws)
+    }
+}
+
+impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowFactory<E> for F {
+    fn build(&self, flow: u64) -> E {
+        self(flow)
+    }
+}
+
+impl<E: CardinalityEstimator> FlowFactory<E> for Box<dyn FlowFactory<E> + Send> {
+    fn build(&self, flow: u64) -> E {
+        (**self).build(flow)
+    }
+
+    fn estimate_unmaterialized(&self, flow: u64, raws: &[u64]) -> f64 {
+        (**self).estimate_unmaterialized(flow, raws)
+    }
+}
 
 /// A map from flow key to its own estimator instance.
 ///
@@ -96,7 +139,7 @@ impl<E: CardinalityEstimator> FlowTable<E> {
     }
 }
 
-impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
+impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     /// Create an eager table with a concrete factory type. The table
     /// is `Send` exactly when `E` and `F` are, so multi-threaded
     /// owners (the engine's shards) get the bound they need without it
@@ -147,10 +190,10 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                 } = self;
                 let cell = flows.get_or_insert_with(flow, |f| {
                     stats.inc(Tier::Full);
-                    FlowCell::from_estimator(factory(f))
+                    FlowCell::from_estimator(factory.build(f))
                 });
                 let before = cell.tier();
-                cell.force_estimator(|| factory(flow)).record(item);
+                cell.force_estimator(|| factory.build(flow)).record(item);
                 stats.transition(before, Tier::Full);
             }
         }
@@ -175,15 +218,16 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                 FlowCell::new()
             });
             let before = cell.tier();
-            cell.record_hash(hash, || factory(flow));
+            cell.record_hash(hash, || factory.build(flow));
             stats.transition(before, cell.tier());
         } else {
             let cell = flows.get_or_insert_with(flow, |f| {
                 stats.inc(Tier::Full);
-                FlowCell::from_estimator(factory(f))
+                FlowCell::from_estimator(factory.build(f))
             });
             let before = cell.tier();
-            cell.force_estimator(|| factory(flow)).record_hash(hash);
+            cell.force_estimator(|| factory.build(flow))
+                .record_hash(hash);
             stats.transition(before, Tier::Full);
         }
     }
@@ -206,15 +250,16 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                 FlowCell::new()
             });
             let before = cell.tier();
-            cell.record_hashes(hashes, || factory(flow));
+            cell.record_hashes(hashes, || factory.build(flow));
             stats.transition(before, cell.tier());
         } else {
             let cell = flows.get_or_insert_with(flow, |f| {
                 stats.inc(Tier::Full);
-                FlowCell::from_estimator(factory(f))
+                FlowCell::from_estimator(factory.build(f))
             });
             let before = cell.tier();
-            cell.force_estimator(|| factory(flow)).record_hashes(hashes);
+            cell.force_estimator(|| factory.build(flow))
+                .record_hashes(hashes);
             stats.transition(before, Tier::Full);
         }
     }
@@ -278,7 +323,7 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                 Some(FlowCell::Full(est)) => est.record_hash(hash),
                 Some(cell) => {
                     let before = cell.tier();
-                    cell.record_hash(hash, || factory(flow));
+                    cell.record_hash(hash, || factory.build(flow));
                     stats.transition(before, cell.tier());
                 }
                 None if tiered => {
@@ -287,15 +332,16 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                         FlowCell::new()
                     });
                     let before = cell.tier();
-                    cell.record_hash(hash, || factory(flow));
+                    cell.record_hash(hash, || factory.build(flow));
                     stats.transition(before, cell.tier());
                 }
                 None => {
                     let cell = flows.get_or_insert_with(flow, |f| {
                         stats.inc(Tier::Full);
-                        FlowCell::from_estimator(factory(f))
+                        FlowCell::from_estimator(factory.build(f))
                     });
-                    cell.force_estimator(|| factory(flow)).record_hash(hash);
+                    cell.force_estimator(|| factory.build(flow))
+                        .record_hash(hash);
                 }
             }
         }
@@ -353,7 +399,7 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                     } else {
                         flows.get_or_insert_with(flow, |f| {
                             stats.inc(Tier::Full);
-                            FlowCell::from_estimator(factory(f))
+                            FlowCell::from_estimator(factory.build(f))
                         });
                     }
                 }
@@ -387,7 +433,7 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
                 est.record_hash(hash);
             } else {
                 let before = cell.tier();
-                cell.record_hash(hash, || factory(flow));
+                cell.record_hash(hash, || factory.build(flow));
                 stats.transition(before, cell.tier());
             }
         }
@@ -395,12 +441,24 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
     }
 
     /// Estimate the cardinality of `flow`; `None` if never seen.
-    /// Bit-identical across modes: unmaterialized cells replay their
-    /// stored hashes through a factory-built probe.
+    /// Bit-identical across modes: unmaterialized cells are answered
+    /// by the factory's [`FlowFactory::estimate_unmaterialized`].
     pub fn estimate(&self, flow: u64) -> Option<f64> {
         self.flows
             .get(flow)
-            .map(|cell| cell.estimate(|| (self.factory)(flow)))
+            .map(|cell| self.cell_estimate(flow, cell))
+    }
+
+    /// One cell's estimate: the estimator's own once materialized, the
+    /// factory's answer for its stored hashes before.
+    fn cell_estimate(&self, flow: u64, cell: &FlowCell<E>) -> f64 {
+        match cell {
+            FlowCell::Full(est) => est.estimate(),
+            tiered => {
+                let raws = tiered.pending_hashes().expect("unmaterialized cell");
+                self.factory.estimate_unmaterialized(flow, raws)
+            }
+        }
     }
 
     /// Borrow a flow's **materialized** estimator. `None` when the
@@ -423,7 +481,7 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
     /// factory (which only knows how to build *empty* estimators).
     pub fn insert(&mut self, flow: u64, estimator: E) -> Option<E> {
         let old = self.insert_cell(flow, FlowCell::from_estimator(estimator))?;
-        Some(old.into_estimator(|| (self.factory)(flow)))
+        Some(old.into_estimator(|| self.factory.build(flow)))
     }
 
     /// Place a cell directly at whatever tier it carries (checkpoint
@@ -443,7 +501,7 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
     pub fn remove(&mut self, flow: u64) -> Option<E> {
         let cell = self.flows.remove(flow)?;
         self.stats.dec(cell.tier());
-        Some(cell.into_estimator(|| (self.factory)(flow)))
+        Some(cell.into_estimator(|| self.factory.build(flow)))
     }
 
     /// Number of flows tracked.
@@ -471,11 +529,13 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
     }
 
     /// Iterate `(flow, estimate)` pairs. Estimates from inline tiers
-    /// come from probe replay and are bit-identical to the eager mode.
+    /// come from the factory's
+    /// [`FlowFactory::estimate_unmaterialized`] and are bit-identical
+    /// to the eager mode.
     pub fn estimates(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.flows
             .iter()
-            .map(move |(flow, cell)| (flow, cell.estimate(|| (self.factory)(flow))))
+            .map(move |(flow, cell)| (flow, self.cell_estimate(flow, cell)))
     }
 
     /// Flows whose estimate is at least `threshold` (the scan/DDoS

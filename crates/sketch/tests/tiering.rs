@@ -11,11 +11,16 @@
 //!
 //! Reproduce a failure with `SMB_PROP_SEED=<seed printed on failure>`.
 
-use smb_core::{CardinalityEstimator, Smb};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use smb_core::{CardinalityEstimator, Smb, SmbParams};
 use smb_devtools::prop::gens;
+use smb_devtools::rng::{Rng, Xoshiro256pp};
 use smb_devtools::{forall, prop_assert, prop_assert_eq};
 use smb_hash::{HashScheme, ItemHash};
-use smb_sketch::{FlowTable, Tier, ARRAY_CAP, SMALL_CAP};
+use smb_sketch::{FlowFactory, FlowTable, Tier, ARRAY_CAP, SMALL_CAP};
 
 /// One shared scheme for the table and every estimator — the engine's
 /// deployment shape, and the precondition for tiered bit-identity
@@ -194,6 +199,191 @@ fn small_threshold_specs_dedup_bit_identically() {
                 );
             }
         });
+    }
+}
+
+/// The factory's `(m, T)` pairs at `n_max = 1e6` (pinned by
+/// `smb-factory`'s `small_budgets_resolve_small_thresholds`): three
+/// thresholds at or below `ARRAY_CAP`, where unmaterialized cells
+/// morph, and the serve default m = 2048, where they cannot.
+const FACTORY_PAIRS: [(usize, usize); 4] = [(64, 3), (128, 6), (256, 12), (2048, 157)];
+
+/// A raw hash shaped to reach SMB's edge cases: the low (uniform) lane
+/// comes from a small per-sequence pool, so distinct raws collide on
+/// `index(m)`, and the high (geometric) lane carries 0–3 forced
+/// trailing zeros, so items pass or fail the sampling test of the
+/// first few rounds in every mix.
+fn adversarial_raw(rng: &mut Xoshiro256pp, lows: &[u32]) -> u64 {
+    let low = lows[rng.gen_range_usize(0..lows.len())];
+    let high = (rng.next_u64() as u32) << rng.gen_range_u64(0..4);
+    (u64::from(high) << 32) | u64::from(low)
+}
+
+/// `SmbParams::estimate_of_hashes` is the closed form the engine
+/// answers unmaterialized SMB cells with. It must be bit-identical to
+/// a fresh SMB replaying the same hashes, for every length a cell can
+/// hold (0..=16), at every factory `(m, T)` pair — including distinct
+/// raws that collide on `index(m)`, items sampled out after a morph,
+/// and a morph fired by exactly the 16th item — and for longer lists.
+/// The paper's Fig. 4 shape (m = 8, T = 2, four rounds) adds lists
+/// that reach the final round, where `r` stops advancing.
+#[test]
+fn closed_form_estimates_match_replay_bit_for_bit() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0xC105ED);
+    for (m, t) in FACTORY_PAIRS.into_iter().chain([(8, 2)]) {
+        let params = Arc::new(SmbParams::new(m, t).expect("valid params"));
+        let (mut collided, mut sampled_out, mut morph_on_last) = (false, false, false);
+        let mut final_round = false;
+        for trial in 0..4000 {
+            let pool: Vec<u32> = (0..rng.gen_range_usize(2..24))
+                .map(|_| rng.next_u64() as u32)
+                .collect();
+            let raws: Vec<u64> = (0..ARRAY_CAP)
+                .map(|_| adversarial_raw(&mut rng, &pool))
+                .collect();
+            let mut reference = Smb::with_params(Arc::clone(&params), scheme());
+            let mut sampled_in: Vec<(u64, usize)> = Vec::new();
+            for len in 0..=raws.len() {
+                assert_eq!(
+                    params.estimate_of_hashes(&raws[..len]).to_bits(),
+                    reference.estimate().to_bits(),
+                    "m={m} T={t} trial {trial}: {len} hashes {:x?}",
+                    &raws[..len]
+                );
+                let Some(&raw) = raws.get(len) else { break };
+                let h = ItemHash::new(raw);
+                let r = reference.round();
+                let passes = r <= 32 && (raw >> 32) & ((1u64 << r) - 1) == 0;
+                sampled_out |= r > 0 && !passes;
+                if passes {
+                    collided |= sampled_in
+                        .iter()
+                        .any(|&(prev, idx)| prev != raw && idx == h.index(m));
+                    sampled_in.push((raw, h.index(m)));
+                }
+                reference.record_hash(h);
+                morph_on_last |= len + 1 == ARRAY_CAP && reference.round() > r;
+                final_round |= reference.round() + 1 == params.max_rounds();
+            }
+            if t > ARRAY_CAP {
+                // Sixteen items cannot close a round of T > 16: the
+                // state is (0, number of distinct indices).
+                let mut indices: Vec<usize> = sampled_in.iter().map(|&(_, i)| i).collect();
+                indices.sort_unstable();
+                indices.dedup();
+                assert_eq!(
+                    (reference.round(), reference.fresh_ones()),
+                    (0, indices.len())
+                );
+            }
+        }
+        assert!(collided, "m={m}: no distinct raws collided on index(m)");
+        if t <= ARRAY_CAP {
+            assert!(sampled_out, "m={m}: no item was sampled out after a morph");
+            assert!(morph_on_last, "m={m}: no morph fired on the 16th item");
+        }
+        assert_eq!(final_round, m == 8, "m={m}: final round reached");
+        // Lists longer than any cell holds leave the stack path.
+        for len in [17, 64, 1000] {
+            let pool: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
+            let raws: Vec<u64> = (0..len).map(|_| adversarial_raw(&mut rng, &pool)).collect();
+            let mut reference = Smb::with_params(Arc::clone(&params), scheme());
+            for &raw in &raws {
+                reference.record_hash(ItemHash::new(raw));
+            }
+            assert_eq!(
+                params.estimate_of_hashes(&raws).to_bits(),
+                reference.estimate().to_bits(),
+                "m={m} T={t}: {len} hashes"
+            );
+        }
+    }
+}
+
+/// A tiered-table factory that answers unmaterialized cells in closed
+/// form and counts the estimators it builds.
+struct ClosedFormFactory {
+    params: Arc<SmbParams>,
+    builds: Rc<Cell<usize>>,
+}
+
+impl FlowFactory<Smb> for ClosedFormFactory {
+    fn build(&self, _flow: u64) -> Smb {
+        self.builds.set(self.builds.get() + 1);
+        Smb::with_params(Arc::clone(&self.params), scheme())
+    }
+
+    fn estimate_unmaterialized(&self, _flow: u64, raws: &[u64]) -> f64 {
+        self.params.estimate_of_hashes(raws)
+    }
+}
+
+/// With the hook overridden, the query path (`estimate`, `estimates`,
+/// `flows_over`) over 1,000 Small/Array flows builds no estimator and
+/// answers bit-identically to a plain closure factory, which builds
+/// one probe per unmaterialized flow per query.
+#[test]
+fn query_path_builds_nothing_with_a_closed_form_factory() {
+    const FLOWS: u64 = 1000;
+    for (m, t) in FACTORY_PAIRS {
+        let params = Arc::new(SmbParams::new(m, t).expect("valid params"));
+        let hook_builds = Rc::new(Cell::new(0));
+        let mut hooked = FlowTable::with_factory_tiered(
+            scheme(),
+            ClosedFormFactory {
+                params: Arc::clone(&params),
+                builds: Rc::clone(&hook_builds),
+            },
+        );
+        let closure_builds = Rc::new(Cell::new(0));
+        let counter = Rc::clone(&closure_builds);
+        let probe_params = Arc::clone(&params);
+        let mut replayed = FlowTable::tiered(scheme(), move |_| {
+            counter.set(counter.get() + 1);
+            Smb::with_params(Arc::clone(&probe_params), scheme())
+        });
+        let mut next = 0u64;
+        for flow in 0..FLOWS {
+            // 1..=16 distinct items with repeats: every flow stays in
+            // the Small or Array tier.
+            let distinct = 1 + flow % ARRAY_CAP as u64;
+            for i in 0..2 * distinct {
+                let h = scheme().item_hash(&(next + i % distinct).to_le_bytes());
+                hooked.record_hash(flow, h);
+                replayed.record_hash(flow, h);
+            }
+            next += distinct;
+        }
+        let stats = hooked.tier_stats();
+        assert_eq!((stats.full, stats.small + stats.array), (0, FLOWS as usize));
+        assert_eq!((hook_builds.get(), closure_builds.get()), (0, 0));
+
+        for flow in 0..FLOWS {
+            assert_eq!(
+                hooked.estimate(flow).map(f64::to_bits),
+                replayed.estimate(flow).map(f64::to_bits),
+                "m={m} flow {flow}"
+            );
+        }
+        assert_eq!(hook_builds.get(), 0, "m={m}: estimate built a probe");
+        assert_eq!(closure_builds.get(), FLOWS as usize);
+
+        let mut a: Vec<(u64, u64)> = hooked.estimates().map(|(f, e)| (f, e.to_bits())).collect();
+        let mut b: Vec<(u64, u64)> = replayed
+            .estimates()
+            .map(|(f, e)| (f, e.to_bits()))
+            .collect();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "m={m}");
+        assert_eq!(hook_builds.get(), 0, "m={m}: estimates built a probe");
+        assert_eq!(closure_builds.get(), 2 * FLOWS as usize);
+
+        let over = hooked.flows_over(2.0);
+        assert_eq!(over.len(), replayed.flows_over(2.0).len(), "m={m}");
+        assert!(!over.is_empty());
+        assert_eq!(hook_builds.get(), 0, "m={m}: flows_over built a probe");
+        assert_eq!(closure_builds.get(), 3 * FLOWS as usize);
     }
 }
 

@@ -68,6 +68,18 @@ step "tier equivalence gates (offline): tiered cells vs eager estimators"
 # streams — and every tier must round-trip its checkpoint state.
 cargo test -q --offline -p smb-sketch --test tiering
 cargo test -q --offline -p smb-sketch --features snapshot --test tiering
+# Unmaterialized SMB cells are answered in closed form from (r, v)
+# (SmbParams::estimate_of_hashes) instead of by probe replay; the
+# differential below holds it bit-identical to replay. Run by exact
+# name and require "1 passed", so a rename cannot filter it away.
+closed_form_out="$(cargo test --offline -p smb-sketch --test tiering -- --exact \
+    closed_form_estimates_match_replay_bit_for_bit 2>&1)"
+if ! grep -q "1 passed" <<<"$closed_form_out"; then
+    echo "FAIL: closed-form small-tier differential did not run or pass:" >&2
+    echo "$closed_form_out" >&2
+    exit 1
+fi
+echo "ok: closed-form small-tier estimates bit-identical to probe replay"
 
 step "concurrency stress suite (offline): seeded schedules, reproducible"
 # The morph flight recorder is the one lock-free structure in
