@@ -1045,8 +1045,8 @@ pub fn run_doctor(
     }
     let mut engine = ShardedFlowEngine::new(config).map_err(|e| e.to_string())?;
 
-    // Ingest through a producer handle so the per-producer counters
-    // show up in the report (the engine's own front-end carries none).
+    // Ingest through one producer handle, as a server session does;
+    // the report carries its counters.
     let mut skipped = 0u64;
     let mut producer = engine.producer_handle();
     for line in lines {

@@ -1,13 +1,18 @@
 //! A bounded blocking channel, the engine's shard queue.
 //!
-//! One or more producers (the engine's own ingest front-end plus any
-//! number of cloned [`Sender`] handles held by
-//! `ShardedFlowEngine::producer_handle` producers) and one consumer
-//! (the shard worker) per channel — the implementation is safe under
-//! any number of handles. The queue is bounded in *batches*;
+//! Any number of producers (every `EngineProducer`, the engine's own
+//! ingest front-end included, holds a cloned [`Sender`]) and one
+//! consumer (the shard worker) per channel. The queue is bounded in
+//! *batches*;
 //! combined with the engine's fixed batch size this caps the number of
 //! in-flight items per shard, which is what gives the engine explicit
 //! backpressure instead of unbounded buffering.
+//!
+//! Two ways a channel stops accepting values: an explicit
+//! [`Sender::close`] (shutdown: the receiver drains what is buffered)
+//! and the [`Receiver`] being dropped (its worker exited or panicked:
+//! nothing will ever drain the queue, so senders blocked on a full
+//! queue are woken and handed their value back).
 //!
 //! Built on `Mutex` + `Condvar` from `std` only (offline-dependency
 //! policy: no crossbeam). The producer touches the lock once per
@@ -20,6 +25,9 @@ use std::sync::{Arc, Condvar, Mutex};
 struct State<T> {
     buf: VecDeque<T>,
     closed: bool,
+    /// The receiver was dropped; set by its `Drop`, distinct from
+    /// `closed`.
+    receiver_gone: bool,
 }
 
 struct Inner<T> {
@@ -34,7 +42,8 @@ struct Inner<T> {
 pub enum TrySendError<T> {
     /// The queue is at capacity; the value is handed back.
     Full(T),
-    /// The receiver side is gone; the value is handed back.
+    /// The channel is closed or its receiver is gone; the value is
+    /// handed back.
     Closed(T),
 }
 
@@ -66,6 +75,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         state: Mutex::new(State {
             buf: VecDeque::with_capacity(capacity),
             closed: false,
+            receiver_gone: false,
         }),
         capacity,
         not_empty: Condvar::new(),
@@ -81,11 +91,12 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 
 impl<T> Sender<T> {
     /// Enqueue `value`, blocking while the queue is full. Returns the
-    /// value back if the channel is closed.
+    /// value back if the channel is closed or its receiver is gone
+    /// (also when that happens while blocked).
     pub fn send(&self, value: T) -> Result<(), T> {
         let mut state = self.inner.state.lock().expect("channel lock");
         loop {
-            if state.closed {
+            if state.closed || state.receiver_gone {
                 return Err(value);
             }
             if state.buf.len() < self.inner.capacity {
@@ -100,7 +111,7 @@ impl<T> Sender<T> {
     /// Enqueue `value` without blocking.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let mut state = self.inner.state.lock().expect("channel lock");
-        if state.closed {
+        if state.closed || state.receiver_gone {
             return Err(TrySendError::Closed(value));
         }
         if state.buf.len() >= self.inner.capacity {
@@ -119,6 +130,13 @@ impl<T> Sender<T> {
         self.inner.not_empty.notify_all();
         self.inner.not_full.notify_all();
     }
+
+    /// Whether the receiver has been dropped. Once true, nothing will
+    /// ever dequeue again, and every value the receiver dequeued was
+    /// handed out before this returned true.
+    pub(crate) fn receiver_gone(&self) -> bool {
+        self.inner.state.lock().expect("channel lock").receiver_gone
+    }
 }
 
 impl<T> Receiver<T> {
@@ -136,6 +154,22 @@ impl<T> Receiver<T> {
             }
             state = self.inner.not_empty.wait(state).expect("channel lock");
         }
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    /// Marks the receiver gone, discards what is buffered and wakes
+    /// every blocked sender. Runs while a panicking worker unwinds, so
+    /// it tolerates a poisoned lock rather than abort.
+    fn drop(&mut self) {
+        let mut state = self
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.receiver_gone = true;
+        state.buf.clear();
+        self.inner.not_full.notify_all();
     }
 }
 
@@ -217,6 +251,26 @@ mod tests {
         // and close remains visible through the original handle.
         tx.close();
         assert_eq!(rx.recv(), None);
+    }
+
+    #[test]
+    fn dropped_receiver_releases_blocked_sender() {
+        let (tx, rx) = bounded(1);
+        tx.send(0u32).unwrap();
+        assert!(!tx.receiver_gone());
+        let sender = {
+            let tx = tx.clone();
+            std::thread::spawn(move || tx.send(1)) // blocks: queue full
+        };
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        drop(rx);
+        assert_eq!(
+            sender.join().unwrap(),
+            Err(1),
+            "the blocked value comes back"
+        );
+        assert!(tx.receiver_gone());
+        assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
     }
 
     #[test]

@@ -599,10 +599,12 @@ impl std::fmt::Debug for QueryHandle {
 /// ```
 pub struct ShardedFlowEngine {
     config: EngineConfig,
-    scheme: HashScheme,
     shards: Vec<Shard>,
-    /// Producer-side accumulation, one partial batch per shard.
-    pending: Vec<Batch>,
+    /// The engine's own ingest front-end: producer 0, an ordinary
+    /// [`EngineProducer`] that [`ShardedFlowEngine::ingest`] and
+    /// [`ShardedFlowEngine::flush`] go through, and that every
+    /// [`ShardedFlowEngine::producer_handle`] is cloned from.
+    front: EngineProducer,
     /// All engine metrics (per-shard series plus SMB morph counters)
     /// live here; export via [`ShardedFlowEngine::metrics_snapshot`].
     registry: Arc<Registry>,
@@ -615,11 +617,6 @@ pub struct ShardedFlowEngine {
     next_epoch: Arc<Mutex<u64>>,
     /// The background checkpointer, if started.
     checkpointer: Option<Checkpointer>,
-    /// Allocator for producer-handle ids, shared with every handle so
-    /// clones made after the engine is gone still get unique ids.
-    producer_ids: Arc<AtomicU32>,
-    /// Batches staged by the engine front-end, for trace sampling.
-    trace_seq: u64,
     /// The `query_sweep` stage histogram
     /// (`engine_stage_duration_ns{shard="all",stage="query_sweep"}`),
     /// shared with every [`QueryHandle`].
@@ -672,9 +669,10 @@ impl EngineTelemetry {
 /// (both see the flow key; the item hash additionally sees the bytes).
 const SHARD_SALT: u64 = 0x5348_4152_445F_534D;
 
-/// The one shard-selection function, shared by the engine and every
-/// [`EngineProducer`]: all ingest paths must agree on flow placement
-/// or per-flow ordering (and estimates) would break.
+/// The one shard-selection function, shared by every
+/// [`EngineProducer`] and the query path: producers must agree on flow
+/// placement or per-flow ordering (and estimates) would break, and a
+/// point query must look where the flow was placed.
 #[inline]
 fn shard_of_key(flow: u64, shards: usize) -> usize {
     (mix::moremur(flow ^ SHARD_SALT) % shards as u64) as usize
@@ -686,10 +684,10 @@ enum DeliveryMode {
     /// Dispatch-path delivery: try without blocking, apply the
     /// backpressure policy on a full queue, sample enqueue latency.
     Policy(BackpressurePolicy),
-    /// Flush-path delivery: block until the queue accepts. Flush is a
-    /// delivery point, not a load-shedding one, so the policy does not
-    /// apply and no latency sample is taken (it would only measure the
-    /// flush barrier itself).
+    /// Flush-path delivery: block until the queue accepts (or its
+    /// worker is gone). Flush is a delivery point, not a load-shedding
+    /// one, so the policy does not apply and no latency sample is
+    /// taken (it would only measure the flush barrier itself).
     ForceBlock,
 }
 
@@ -701,18 +699,15 @@ struct Delivery {
     delivered: bool,
     /// The queue was observed full (possible on the policy path only).
     queue_full: bool,
-    /// The channel was closed: the batch was discarded undelivered.
-    /// The engine itself never sees this (it closes queues only on
-    /// drop); a [`EngineProducer`] outliving its engine does.
-    closed: bool,
 }
 
-/// Hand one batch to a shard queue, updating the shard's metric cells
-/// exactly as the single-producer dispatch/flush paths always have:
+/// Hand one batch to a shard queue, updating the shard's metric cells:
 /// occupancy first, queue-full and drop accounting per policy, and the
 /// delivered counters only after the queue accepts (so a scrape never
-/// sees them exceed reality). All cells are atomics, so any number of
-/// producers may deliver to the same shard concurrently.
+/// sees them exceed reality). A queue that is closed (engine shut
+/// down) or has lost its worker discards the batch undelivered. All
+/// cells are atomics, so any number of producers may deliver to the
+/// same shard concurrently.
 fn deliver_batch(
     metrics: &ShardMetrics,
     tx: &Sender<Batch>,
@@ -736,16 +731,9 @@ fn deliver_batch(
     let mut outcome = Delivery {
         delivered: false,
         queue_full: false,
-        closed: false,
     };
     match mode {
-        DeliveryMode::ForceBlock => {
-            if tx.send(batch).is_ok() {
-                outcome.delivered = true;
-            } else {
-                outcome.closed = true;
-            }
-        }
+        DeliveryMode::ForceBlock => outcome.delivered = tx.send(batch).is_ok(),
         DeliveryMode::Policy(policy) => {
             let start = Instant::now();
             match tx.try_send(batch) {
@@ -754,13 +742,7 @@ fn deliver_batch(
                     outcome.queue_full = true;
                     metrics.queue_full_events.inc();
                     match policy {
-                        BackpressurePolicy::Block => {
-                            if tx.send(batch).is_ok() {
-                                outcome.delivered = true;
-                            } else {
-                                outcome.closed = true;
-                            }
-                        }
+                        BackpressurePolicy::Block => outcome.delivered = tx.send(batch).is_ok(),
                         BackpressurePolicy::DropNewest => {
                             metrics.dropped_items.add(n);
                             if let Some(flight) = flight {
@@ -779,7 +761,7 @@ fn deliver_batch(
                         }
                     }
                 }
-                Err(TrySendError::Closed(_)) => outcome.closed = true,
+                Err(TrySendError::Closed(_)) => {}
             }
             metrics
                 .enqueue_latency
@@ -955,19 +937,27 @@ impl ShardedFlowEngine {
             STAGE_HELP,
             &[("shard", "all"), ("stage", "query_sweep")],
         );
-        Ok(ShardedFlowEngine {
-            pending: (0..config.shards)
-                .map(|_| Batch::with_capacity(config.batch))
-                .collect(),
-            config,
+        let front = EngineProducer::new(
             scheme,
+            config.batch,
+            config.policy,
+            config.trace_sample,
+            shards
+                .iter()
+                .map(|s| (s.tx.clone(), Arc::clone(&s.metrics)))
+                .collect(),
+            Arc::new(AtomicU32::new(0)),
+            Arc::clone(&registry),
+            telemetry.as_ref().map(|t| Arc::clone(&t.flight)),
+        );
+        Ok(ShardedFlowEngine {
+            config,
             shards,
+            front,
             registry,
             checkpoint_metrics,
             next_epoch: Arc::new(Mutex::new(0)),
             checkpointer: None,
-            producer_ids: Arc::new(AtomicU32::new(0)),
-            trace_seq: 0,
             query_sweep,
             telemetry,
         })
@@ -978,93 +968,42 @@ impl ShardedFlowEngine {
         &self.config
     }
 
-    /// The scheme the producer hashes items under. Pre-hashed ingest
-    /// ([`ShardedFlowEngine::ingest_hash`]) must use exactly this.
+    /// The scheme producers hash items under. Pre-hashed ingest
+    /// ([`EngineProducer::ingest_hash`]) must use exactly this.
     pub fn scheme(&self) -> HashScheme {
-        self.scheme
+        self.front.scheme()
     }
 
     /// Which shard owns `flow`. Deterministic in the flow key alone.
     #[inline]
     pub fn shard_of(&self, flow: u64) -> usize {
-        shard_of_key(flow, self.shards.len())
+        self.front.shard_of(flow)
     }
 
-    /// Ingest one item for `flow`: hash once, stage into the owning
-    /// shard's batch, dispatch when the batch fills. No locks unless a
-    /// batch is dispatched.
+    /// Ingest one item for `flow` through the engine's front-end
+    /// producer: hash once, stage into the owning shard's batch,
+    /// dispatch when the batch fills. No locks unless a batch is
+    /// dispatched.
     #[inline]
     pub fn ingest(&mut self, flow: u64, item: &[u8]) {
-        self.ingest_hash(flow, self.scheme.item_hash(item));
+        self.front.ingest(flow, item);
     }
 
-    /// Ingest an item already hashed under [`ShardedFlowEngine::scheme`].
-    #[inline]
-    pub fn ingest_hash(&mut self, flow: u64, hash: ItemHash) {
-        let shard = self.shard_of(flow);
-        let pending = &mut self.pending[shard];
-        // Trace sampling is decided when a batch starts: the span must
-        // cover the whole producer_hash stage, i.e. from first staged
-        // item to queue offer.
-        if pending.entries.is_empty() && self.config.trace_sample != 0 {
-            self.trace_seq += 1;
-            if self.trace_seq % self.config.trace_sample as u64 == 0 {
-                pending.trace = Some(BatchTrace {
-                    staged: Instant::now(),
-                    offered: None,
-                });
-            }
-        }
-        pending.entries.push((flow, hash));
-        if pending.entries.len() >= self.config.batch {
-            self.dispatch(shard);
-        }
-    }
-
-    /// Ingest a sequence of `(flow, item)` pairs.
-    pub fn ingest_batch<'a>(&mut self, items: impl IntoIterator<Item = (u64, &'a [u8])>) {
-        for (flow, item) in items {
-            self.ingest(flow, item);
-        }
-    }
-
-    /// Hand shard `shard`'s pending batch to its queue, applying the
-    /// backpressure policy.
-    fn dispatch(&mut self, shard: usize) {
-        let batch = std::mem::replace(
-            &mut self.pending[shard],
-            Batch::with_capacity(self.config.batch),
-        );
-        if batch.entries.is_empty() {
-            return;
-        }
-        let s = &self.shards[shard];
-        let outcome = deliver_batch(
-            &s.metrics,
-            &s.tx,
-            DeliveryMode::Policy(self.config.policy),
-            batch,
-            self.telemetry.as_ref().map(|t| &*t.flight),
-        );
-        if outcome.closed {
-            unreachable!("engine closes queues only on drop");
-        }
-    }
-
-    /// Hand out a cloneable multi-producer ingest handle. Each handle
-    /// (and each clone) hashes once, batches per shard and feeds the
-    /// same shard queues as [`ShardedFlowEngine::ingest`], but through
-    /// `&mut self` on the *handle* — so N threads each owning a handle
-    /// ingest concurrently with no producer-side serialization beyond
-    /// the per-batch queue lock. Flow placement is identical across
-    /// all handles and the engine (the shard hash is shared), so
-    /// per-flow ordering within one producer is preserved and a flow
-    /// ingested by exactly one producer gets bit-identical estimates
-    /// to single-producer ingest.
+    /// Hand out a cloneable multi-producer ingest handle: a clone of
+    /// the engine's front-end producer, so it hashes once, batches per
+    /// shard and feeds the same shard queues as
+    /// [`ShardedFlowEngine::ingest`], but through `&mut self` on the
+    /// *handle* — so N threads each owning a handle ingest
+    /// concurrently with no producer-side serialization beyond the
+    /// per-batch queue lock. Flow placement is identical across all
+    /// handles and the engine (the shard hash is shared), so per-flow
+    /// ordering within one producer is preserved and a flow ingested
+    /// by exactly one producer gets bit-identical estimates to
+    /// single-producer ingest.
     ///
-    /// Every handle carries its own telemetry series
+    /// Every producer carries its own telemetry series
     /// (`engine_producer_*_total{producer="<id>"}`) in the engine
-    /// registry.
+    /// registry: the front-end is producer 0, handles count from 1.
     ///
     /// **Flush protocol.** [`EngineProducer::flush`] (or dropping the
     /// handle) delivers its pending partial batches; the engine's
@@ -1074,31 +1013,12 @@ impl ShardedFlowEngine {
     /// A handle that outlives the engine discards sends into closed
     /// queues, counting them in its `dropped` series — never panicking.
     pub fn producer_handle(&self) -> EngineProducer {
-        let id = self.producer_ids.fetch_add(1, Ordering::Relaxed);
-        EngineProducer {
-            scheme: self.scheme,
-            batch: self.config.batch,
-            policy: self.config.policy,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| (s.tx.clone(), Arc::clone(&s.metrics)))
-                .collect(),
-            pending: (0..self.shards.len())
-                .map(|_| Batch::with_capacity(self.config.batch))
-                .collect(),
-            metrics: ProducerMetrics::register(&self.registry, id),
-            id,
-            ids: Arc::clone(&self.producer_ids),
-            registry: Arc::clone(&self.registry),
-            trace_sample: self.config.trace_sample,
-            trace_seq: 0,
-            flight: self.telemetry.as_ref().map(|t| Arc::clone(&t.flight)),
-        }
+        self.front.clone()
     }
 
-    /// Deliver all partial batches and wait until every shard has
-    /// processed everything enqueued so far. After `flush`, queries
+    /// Deliver the front-end's partial batches and wait until every
+    /// shard has processed everything enqueued so far — the front-end
+    /// producer's [`EngineProducer::barrier`]. After `flush`, queries
     /// and stats reflect every ingested (non-dropped) item.
     ///
     /// Partial batches are delivered with blocking sends under either
@@ -1110,45 +1030,11 @@ impl ShardedFlowEngine {
     /// [`ShardedFlowEngine::producer_handle`]).
     ///
     /// # Panics
-    /// If a shard worker died (estimator panic), since its queue can
-    /// then never drain.
+    /// If a shard worker died (estimator panic) with batches still
+    /// queued, since its queue can then never drain.
     pub fn flush(&mut self) {
         let _span = self.registry.timer("engine.flush");
-        for shard in 0..self.shards.len() {
-            if self.pending[shard].entries.is_empty() {
-                continue;
-            }
-            let batch = std::mem::replace(
-                &mut self.pending[shard],
-                Batch::with_capacity(self.config.batch),
-            );
-            let s = &self.shards[shard];
-            let outcome = deliver_batch(
-                &s.metrics,
-                &s.tx,
-                DeliveryMode::ForceBlock,
-                batch,
-                self.telemetry.as_ref().map(|t| &*t.flight),
-            );
-            if outcome.closed {
-                unreachable!("engine closes queues only on drop");
-            }
-        }
-        for s in &self.shards {
-            loop {
-                let sent = s.metrics.batches_sent.get_acquire();
-                // Acquire pairs with the worker's release increment,
-                // making its table writes visible to this thread.
-                let done = s.metrics.batches_processed.get_acquire();
-                if done >= sent {
-                    break;
-                }
-                if s.worker.as_ref().is_some_and(|w| w.is_finished()) {
-                    panic!("shard worker died with {} batches unprocessed", sent - done);
-                }
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
+        self.front.barrier();
     }
 
     /// Estimate the cardinality of `flow`; `None` if never seen.
@@ -1497,10 +1383,11 @@ impl ShardedFlowEngine {
 /// A cloneable multi-producer ingest handle — see
 /// [`ShardedFlowEngine::producer_handle`].
 ///
-/// Owns its own per-shard partial batches and its own telemetry
-/// series; shares only the shard queues (MPSC channels) and the atomic
-/// metric cells with the engine and its sibling handles. Send a
-/// handle to each ingest thread (`EngineProducer: Send`), or clone
+/// The engine's own ingest front-end is one of these too (producer 0).
+/// Each producer owns its per-shard partial batches and its telemetry
+/// series; it shares only the shard queues (MPSC channels) and the
+/// atomic metric cells with the engine and its sibling producers. Send
+/// a handle to each ingest thread (`EngineProducer: Send`), or clone
 /// one per thread — a clone is a *new* producer with a fresh id and
 /// empty batches, not a shared view.
 ///
@@ -1550,6 +1437,39 @@ pub struct EngineProducer {
 }
 
 impl EngineProducer {
+    /// A producer over `shards` with the next id from `ids`, empty
+    /// partial batches and its own telemetry series in `registry` —
+    /// how the engine builds its front-end and how every clone is made.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        scheme: HashScheme,
+        batch: usize,
+        policy: BackpressurePolicy,
+        trace_sample: u32,
+        shards: Vec<(Sender<Batch>, Arc<ShardMetrics>)>,
+        ids: Arc<AtomicU32>,
+        registry: Arc<Registry>,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> Self {
+        let id = ids.fetch_add(1, Ordering::Relaxed);
+        EngineProducer {
+            scheme,
+            batch,
+            policy,
+            pending: (0..shards.len())
+                .map(|_| Batch::with_capacity(batch))
+                .collect(),
+            shards,
+            metrics: ProducerMetrics::register(&registry, id),
+            id,
+            ids,
+            registry,
+            trace_sample,
+            trace_seq: 0,
+            flight,
+        }
+    }
+
     /// This handle's producer id (the `producer` label on its series).
     pub fn id(&self) -> u32 {
         self.id
@@ -1567,8 +1487,7 @@ impl EngineProducer {
     }
 
     /// Ingest one item for `flow`: hash once, stage, dispatch when the
-    /// batch fills — the producer-handle version of
-    /// [`ShardedFlowEngine::ingest`].
+    /// batch fills.
     #[inline]
     pub fn ingest(&mut self, flow: u64, item: &[u8]) {
         self.ingest_hash(flow, self.scheme.item_hash(item));
@@ -1594,17 +1513,10 @@ impl EngineProducer {
         }
     }
 
-    /// Ingest a sequence of `(flow, item)` pairs.
-    pub fn ingest_batch<'a>(&mut self, items: impl IntoIterator<Item = (u64, &'a [u8])>) {
-        for (flow, item) in items {
-            self.ingest(flow, item);
-        }
-    }
-
     /// Deliver this producer's pending partial batches (blocking until
     /// the queues accept them). Does **not** wait for workers to
-    /// process anything — that barrier is [`ShardedFlowEngine::flush`].
-    /// Also runs on drop.
+    /// process anything — that is [`EngineProducer::barrier`]. Also
+    /// runs on drop.
     pub fn flush(&mut self) {
         for shard in 0..self.shards.len() {
             if !self.pending[shard].entries.is_empty() {
@@ -1619,28 +1531,38 @@ impl EngineProducer {
     }
 
     /// Deliver this producer's pending batches, then wait until the
-    /// shard workers have processed every batch *delivered so far* —
-    /// the producer-side equivalent of [`ShardedFlowEngine::flush`],
-    /// available without `&mut` access to the engine. After `barrier()`
-    /// returns, a query through a [`QueryHandle`] reflects everything
-    /// this producer ingested (the per-shard sent/processed counters
-    /// are engine-global, so it may also wait out other producers'
-    /// in-flight batches — a stronger, never weaker, guarantee).
+    /// shard workers have processed every batch *delivered so far*.
+    /// [`ShardedFlowEngine::flush`] is this, on the engine's front-end;
+    /// a handle needs no `&mut` access to the engine. After
+    /// `barrier()` returns, a query through a [`QueryHandle`] reflects
+    /// everything this producer ingested (the per-shard sent/processed
+    /// counters are engine-global, so it may also wait out other
+    /// producers' in-flight batches — a stronger, never weaker,
+    /// guarantee).
     ///
-    /// Liveness matches `flush`: if the engine has been dropped, its
-    /// workers drained every delivered batch on shutdown, so the wait
-    /// still terminates.
+    /// If the engine has been dropped, its workers drained every
+    /// delivered batch on shutdown, so the wait still terminates.
     ///
-    /// [`ShardedFlowEngine::flush`]: crate::ShardedFlowEngine::flush
+    /// # Panics
+    /// If a shard worker died (estimator panic) with batches still
+    /// queued, since its queue can then never drain.
     pub fn barrier(&mut self) {
         self.flush();
-        for (_, metrics) in &self.shards {
-            loop {
-                let sent = metrics.batches_sent.get_acquire();
-                // Acquire pairs with the worker's release increment,
-                // making its table writes visible to this thread.
-                let done = metrics.batches_processed.get_acquire();
-                if done >= sent {
+        // Acquire pairs with the worker's release increment, making
+        // its table writes visible to this thread.
+        let unprocessed = |m: &ShardMetrics| {
+            let sent = m.batches_sent.get_acquire();
+            sent.saturating_sub(m.batches_processed.get_acquire())
+        };
+        for (tx, metrics) in &self.shards {
+            while unprocessed(metrics) > 0 {
+                if tx.receiver_gone() {
+                    // The worker's last increment precedes its
+                    // receiver's drop, so this re-read is final.
+                    let left = unprocessed(metrics);
+                    if left > 0 {
+                        panic!("shard worker died with {left} batches unprocessed");
+                    }
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_micros(50));
@@ -1663,9 +1585,9 @@ impl EngineProducer {
             self.metrics.items.add(n);
             self.metrics.batches.inc();
         } else {
-            // Dropped by policy (already in the shard's dropped_items)
-            // or the engine is gone and the queue is closed; either
-            // way this producer's items went nowhere.
+            // Dropped by policy (already in the shard's dropped_items),
+            // or the queue is closed (engine gone) or has lost its
+            // worker; either way this producer's items went nowhere.
             self.metrics.dropped.add(n);
         }
     }
@@ -1675,23 +1597,16 @@ impl Clone for EngineProducer {
     /// A new producer with a fresh id, empty partial batches and its
     /// own telemetry series, feeding the same engine.
     fn clone(&self) -> Self {
-        let id = self.ids.fetch_add(1, Ordering::Relaxed);
-        EngineProducer {
-            scheme: self.scheme,
-            batch: self.batch,
-            policy: self.policy,
-            shards: self.shards.clone(),
-            pending: (0..self.shards.len())
-                .map(|_| Batch::with_capacity(self.batch))
-                .collect(),
-            metrics: ProducerMetrics::register(&self.registry, id),
-            id,
-            ids: Arc::clone(&self.ids),
-            registry: Arc::clone(&self.registry),
-            trace_sample: self.trace_sample,
-            trace_seq: 0,
-            flight: self.flight.clone(),
-        }
+        EngineProducer::new(
+            self.scheme,
+            self.batch,
+            self.policy,
+            self.trace_sample,
+            self.shards.clone(),
+            Arc::clone(&self.ids),
+            Arc::clone(&self.registry),
+            self.flight.clone(),
+        )
     }
 }
 
@@ -1716,9 +1631,10 @@ impl std::fmt::Debug for EngineProducer {
 
 impl Drop for ShardedFlowEngine {
     /// Stops the checkpointer (without a final epoch) and the workers.
-    /// Pending (undispatched) partial batches are discarded — call
-    /// [`ShardedFlowEngine::flush`] or [`ShardedFlowEngine::finish`]
-    /// first if you need them counted.
+    /// The front-end's pending partial batches are then discarded into
+    /// the closed queues and counted in producer 0's dropped series —
+    /// call [`ShardedFlowEngine::flush`] or
+    /// [`ShardedFlowEngine::finish`] first to have them recorded.
     fn drop(&mut self) {
         self.stop_checkpointer();
         self.close_and_join();
@@ -2523,9 +2439,9 @@ mod tests {
         .unwrap();
         let p0 = engine.producer_handle();
         let mut handles = vec![p0.clone(), p0.clone()];
-        assert_eq!(p0.id(), 0);
-        assert_eq!(handles[0].id(), 1);
-        assert_eq!(handles[1].id(), 2);
+        assert_eq!(p0.id(), 1);
+        assert_eq!(handles[0].id(), 2);
+        assert_eq!(handles[1].id(), 3);
         for (k, p) in handles.iter_mut().enumerate() {
             for i in 0..1000u32 {
                 p.ingest((k as u64) * 100 + i as u64 % 7, &i.to_le_bytes());
@@ -2537,7 +2453,7 @@ mod tests {
         drop(p0);
         engine.flush();
         for (k, s) in per_producer.iter().enumerate() {
-            assert_eq!(s.producer, (k + 1) as u32);
+            assert_eq!(s.producer, (k + 2) as u32);
             assert_eq!(s.items, 1000, "producer {k} delivered everything");
             assert!(s.batches >= 1000 / 16);
             assert_eq!(s.dropped_items, 0);
@@ -2551,11 +2467,114 @@ mod tests {
         let snap = engine.metrics_snapshot();
         assert_eq!(snap.counter_total("engine_producer_items_total"), 2000);
         assert_eq!(
-            snap.get("engine_producer_items_total", &[("producer", "1")])
+            snap.get("engine_producer_items_total", &[("producer", "2")])
                 .unwrap()
                 .as_counter(),
             Some(1000)
         );
+    }
+
+    #[test]
+    fn engine_ingest_is_attributed_to_producer_zero() {
+        let mut engine = ShardedFlowEngine::new(
+            EngineConfig::new(spec()).with_shards(2).with_batch(16),
+        )
+        .unwrap();
+        for i in 0..1000u32 {
+            engine.ingest(u64::from(i % 7), &i.to_le_bytes());
+        }
+        engine.flush();
+        let stats = engine.stats();
+        assert_eq!(stats.total_enqueued(), 1000);
+        assert_eq!(stats.total_recorded(), 1000);
+        let snap = engine.metrics_snapshot();
+        assert_eq!(
+            snap.get("engine_producer_items_total", &[("producer", "0")])
+                .unwrap()
+                .as_counter(),
+            Some(1000)
+        );
+        assert_eq!(snap.counter_total("engine_producer_items_total"), 1000);
+        assert_eq!(snap.counter_total("engine_producer_items_dropped_total"), 0);
+    }
+
+    #[test]
+    fn dropped_engine_counts_its_staged_partial_batch() {
+        let registry = Arc::new(Registry::new("smb_engine"));
+        let sp = spec();
+        let mut engine = ShardedFlowEngine::with_registry(
+            EngineConfig::new(sp).with_shards(1).with_batch(1024),
+            sp.scheme(),
+            Arc::new(move |_| sp.build().unwrap()),
+            Arc::clone(&registry),
+        )
+        .unwrap();
+        for i in 0..10u32 {
+            engine.ingest(1, &i.to_le_bytes());
+        }
+        // 10 items staged in a 1024-item batch, never flushed.
+        drop(engine);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.get("engine_producer_items_dropped_total", &[("producer", "0")])
+                .unwrap()
+                .as_counter(),
+            Some(10)
+        );
+        assert_eq!(snap.counter_total("engine_items_enqueued_total"), 0);
+    }
+
+    /// A shard worker whose estimator factory panics can never drain
+    /// its queue. A producer's barrier, and the engine's ingest (once
+    /// the queue is full) and flush, must then fail with the worker's
+    /// death instead of hanging. Each case runs on its own thread under
+    /// a 10 s guard, so a hang fails this test rather than the suite.
+    #[test]
+    fn dead_shard_worker_fails_waiters_instead_of_hanging() {
+        fn doomed_engine() -> ShardedFlowEngine {
+            let sp = spec();
+            // Tiered tables call the factory at the 17th distinct item
+            // of a flow, i.e. in the third 8-item batch.
+            let factory: Arc<EstimatorFactory> =
+                Arc::new(|_| panic!("estimator factory failed"));
+            let config = EngineConfig::new(sp).with_shards(1).with_batch(8);
+            ShardedFlowEngine::with_factory(config, sp.scheme(), factory).unwrap()
+        }
+        fn panic_within_guard(case: impl FnOnce() + Send + 'static) -> String {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case));
+                let _ = tx.send(outcome.map_err(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                }));
+            });
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("hung on a dead shard worker");
+            runner.join().expect("the case's panic was caught");
+            outcome.expect_err("a dead shard worker must surface as a panic")
+        }
+        let barrier = panic_within_guard(|| {
+            let engine = doomed_engine();
+            let mut producer = engine.producer_handle();
+            for i in 0..40u32 {
+                producer.ingest(1, &i.to_le_bytes());
+            }
+            producer.barrier();
+        });
+        assert!(barrier.starts_with("shard worker died with"), "{barrier}");
+        // 400 items are 50 batches: far past the 8-batch queue.
+        let flush = panic_within_guard(|| {
+            let mut engine = doomed_engine();
+            for i in 0..400u32 {
+                engine.ingest(1, &i.to_le_bytes());
+            }
+            engine.flush();
+        });
+        assert!(flush.starts_with("shard worker died with"), "{flush}");
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! recording path. This crate turns that observation into a
 //! multi-core ingest pipeline:
 //!
-//! * [`ShardedFlowEngine`] — hash-once producer, N worker shards each
-//!   owning a private [`smb_sketch::FlowTable`], fixed-size batches
-//!   over bounded queues, explicit backpressure
-//!   ([`BackpressurePolicy`]);
-//! * [`EngineProducer`] — cloneable multi-producer ingest handles
-//!   ([`ShardedFlowEngine::producer_handle`]): N threads feed the
-//!   shard queues concurrently, each with its own batches and its own
-//!   `producer="<id>"`-labelled telemetry series;
+//! * [`ShardedFlowEngine`] — N worker shards each owning a private
+//!   [`smb_sketch::FlowTable`], fed fixed-size batches over bounded
+//!   queues with explicit backpressure ([`BackpressurePolicy`]);
+//! * [`EngineProducer`] — the one ingest front-end: hash once, batch
+//!   per shard, deliver. The engine ingests through its own (producer
+//!   0) and hands out clones ([`ShardedFlowEngine::producer_handle`]),
+//!   so N threads feed the shard queues concurrently, each with its
+//!   own batches and its own `producer="<id>"`-labelled telemetry
+//!   series;
 //! * [`EngineQuery`] / [`QueryReport`] / [`QueryHandle`] — the one
 //!   aggregate query surface: multi-facet reads (point estimate,
 //!   top-k, threshold scan, flow count, resident bytes, tier census)

@@ -297,10 +297,9 @@ impl ProducerMetrics {
 /// A point-in-time snapshot of one producer handle's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProducerStats {
-    /// Producer id, allocated sequentially per engine as handles are
-    /// created (`producer_handle`) or cloned. The engine's own ingest
-    /// front-end is not a producer handle and carries no producer
-    /// series — its traffic shows up in the shard counters only.
+    /// Producer id, allocated sequentially per engine: 0 is the
+    /// engine's own ingest front-end (`engine.ingest`), and handles
+    /// count from 1 as they are created (`producer_handle`) or cloned.
     pub producer: u32,
     /// Items this producer delivered into shard queues.
     pub items: u64,

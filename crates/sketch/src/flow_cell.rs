@@ -26,13 +26,12 @@
 //! indistinguishable downstream) and the estimator trait contract
 //! makes duplicate records state-neutral. An unmaterialized cell's
 //! estimate is what a fresh estimator reports after recording its
-//! stored hashes: [`FlowCell::estimate`] replays them through a
-//! factory-built probe, and a `FlowTable` asks its factory
-//! ([`FlowFactory`](crate::FlowFactory)), which replays the same way
-//! unless it can compute the value without building — SMB's closed
-//! form from `(r, v)`. So *every* observable of a tiered cell is
-//! bit-identical to the untiered path at every point in the flow's
-//! life.
+//! stored hashes: a `FlowTable` asks its factory
+//! ([`FlowFactory`](crate::FlowFactory)), which replays them through a
+//! throwaway probe unless it can compute the value without building —
+//! SMB's closed form from `(r, v)`. So *every* observable of a tiered
+//! cell is bit-identical to the untiered path at every point in the
+//! flow's life.
 
 use smb_core::CardinalityEstimator;
 use smb_hash::ItemHash;
@@ -266,20 +265,6 @@ impl<E: CardinalityEstimator> FlowCell<E> {
         }
     }
 
-    /// The cell's cardinality estimate — bit-identical to the untiered
-    /// path. Materialized cells answer directly; small tiers build a
-    /// probe with `make`, replay their stored hashes and read its
-    /// estimate (the exact state the untiered path would hold). The
-    /// probe is a throwaway, so any observer `make` attached is detached
-    /// before the replay: a read must not report lifecycle events (a
-    /// small-`T` probe morphs) for a flow that never materialized.
-    pub fn estimate(&self, make: impl FnOnce() -> E) -> f64 {
-        match self {
-            FlowCell::Full(est) => est.estimate(),
-            _ => replay_estimate(make(), self.pending_hashes().expect("unmaterialized cell")),
-        }
-    }
-
     /// Force-materialize and mutably borrow the estimator, replaying
     /// any stored hashes through `make`'s product first. Eager tables
     /// record through it, and `FlowTable::insert`/`remove` hand out
@@ -325,7 +310,9 @@ impl<E: CardinalityEstimator> FlowCell<E> {
 
 /// What `probe`, a freshly built estimator, reports after recording
 /// an unmaterialized cell's `raws`: the untiered estimate. The probe is
-/// a throwaway, so its observer is detached before the replay.
+/// a throwaway, so its observer is detached before the replay: a read
+/// must not report lifecycle events (a small-`T` probe morphs) for a
+/// flow that never materialized.
 pub(crate) fn replay_estimate<E: CardinalityEstimator>(mut probe: E, raws: &[u64]) -> f64 {
     probe.set_observer(None);
     record_raw_hashes(&mut probe, raws);
@@ -452,6 +439,16 @@ mod tests {
         HashScheme::with_seed(7).item_hash(&i.to_le_bytes())
     }
 
+    /// A cell's estimate the way a `FlowTable` answers it: the
+    /// estimator's own once materialized, the factory's before.
+    fn estimate(cell: &FlowCell<Smb>) -> f64 {
+        use crate::FlowFactory;
+        match cell.pending_hashes() {
+            Some(raws) => (|_: u64| make()).estimate_unmaterialized(0, raws),
+            None => cell.estimator().expect("materialized cell").estimate(),
+        }
+    }
+
     #[test]
     fn tier_ladder_promotes_at_exact_boundaries() {
         let mut cell: FlowCell<Smb> = FlowCell::new();
@@ -499,7 +496,7 @@ mod tests {
             let h = hash(i / 3 * 2);
             cell.record_hash(h, make);
             reference.record_hash(h);
-            assert_eq!(cell.estimate(make), reference.estimate(), "item {i}");
+            assert_eq!(estimate(&cell), reference.estimate(), "item {i}");
         }
         assert_eq!(cell.tier(), Tier::Full);
     }
@@ -515,8 +512,8 @@ mod tests {
         }
         let mut reference = make();
         reference.record_hashes(&hashes);
-        assert_eq!(batched.estimate(make), reference.estimate());
-        assert_eq!(single.estimate(make), reference.estimate());
+        assert_eq!(estimate(&batched), reference.estimate());
+        assert_eq!(estimate(&single), reference.estimate());
     }
 
     #[test]

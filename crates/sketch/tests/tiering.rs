@@ -490,9 +490,16 @@ fn every_tier_round_trips_through_its_snapshot_state() {
             cell.pending_hashes(),
             "{n} items: pending hashes must survive in arrival order"
         );
+        // Estimates as production reads them: through a tiered table,
+        // whose factory answers unmaterialized cells.
+        let estimate = |cell| {
+            let mut table = tiered();
+            table.insert_cell(0, cell);
+            table.estimate(0).expect("inserted flow")
+        };
         assert_eq!(
-            restored.estimate(make).to_bits(),
-            cell.estimate(make).to_bits(),
+            estimate(restored).to_bits(),
+            estimate(cell).to_bits(),
             "{n} items: restored estimate must be bit-identical"
         );
     }

@@ -38,6 +38,18 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path per
 
 step "engine tests (offline): shard invariance + backpressure"
 cargo test -q --offline -p smb-engine
+# A shard worker that dies (its estimator panicked) must fail every
+# wait on its queue (a producer's barrier, the engine's ingest once
+# the queue is full, and flush) instead of hanging it. Run by exact
+# name and require "1 passed", so a rename cannot filter it away.
+dead_worker_out="$(cargo test --offline -p smb-engine --lib -- --exact \
+    engine::tests::dead_shard_worker_fails_waiters_instead_of_hanging 2>&1)"
+if ! grep -q "1 passed" <<<"$dead_worker_out"; then
+    echo "FAIL: dead-shard-worker liveness test did not run or pass:" >&2
+    echo "$dead_worker_out" >&2
+    exit 1
+fi
+echo "ok: a dead shard worker fails barrier, ingest and flush instead of hanging them"
 
 step "kernel equivalence gates (offline): open-table differential + morph boundaries"
 # The open-addressed flow table must be observationally identical to
