@@ -245,135 +245,41 @@ struct Shard {
     worker: Option<JoinHandle<()>>,
 }
 
-/// Scratch buffers reused across [`record_batch_grouped`] calls so the
+/// Scratch reused across [`record_batch_grouped`] calls so the
 /// per-batch hot path allocates nothing in steady state.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
-    /// `(flow, position)` pairs for the sort-based grouping path.
-    order: Vec<(u64, u32)>,
     /// One flow's hashes, contiguous, for `record_hashes`.
     run: Vec<ItemHash>,
 }
 
-/// Decide whether grouping an interleaved batch pays off: grouping
-/// buys long `record_hashes` runs when few distinct flows share the
-/// batch, but the `(flow, position)` sort is pure overhead when nearly
-/// every item belongs to a different flow (runs of one or two items).
-/// Sixteen evenly spaced samples give a coarse distinct-flow read:
-/// half or more repeated samples means runs will be long enough to
-/// amortise the sort.
-fn few_flows_dominate(batch: &[(u64, ItemHash)]) -> bool {
-    const SAMPLE: usize = 16;
-    if batch.len() < 4 * SAMPLE {
-        // Tiny batches: the sort is cheap either way; grouping wins
-        // whenever any flow repeats, so just try it.
-        return true;
-    }
-    let step = batch.len() / SAMPLE;
-    let mut seen = [0u64; SAMPLE];
-    let mut distinct = 0;
-    for i in 0..SAMPLE {
-        let flow = batch[i * step].0;
-        if !seen[..distinct].contains(&flow) {
-            seen[distinct] = flow;
-            distinct += 1;
-        }
-    }
-    distinct <= SAMPLE / 2
-}
-
-/// Record one batch of `(flow, hash)` pairs into a [`FlowTable`],
-/// resolving each distinct flow once per run of same-flow items
-/// instead of once per item.
+/// Record one batch of `(flow, hash)` pairs into a [`FlowTable`] in
+/// arrival order.
 ///
-/// Per-flow arrival order is preserved exactly, so the resulting
-/// per-flow states are bit-identical to recording the batch one item
-/// at a time — the table's tiering (and each estimator's batched
-/// path) already guarantees batch/item equivalence, and this function
-/// only changes *which* items are presented together, never their
-/// per-flow order. Three regimes, picked per batch by a cheap
-/// two-level dispatch (one counting scan, then one 16-point sample):
+/// One counting scan makes the one decision. When the batch's maximal
+/// same-flow runs average at least two items (packet trains, sorted
+/// batches of repeating flows), each run resolves its flow once and feeds one
+/// `record_hashes` call. Otherwise runs are too short to amortise
+/// anything, and the whole batch goes to [`FlowTable::record_batch`],
+/// whose item order is exactly batch order.
 ///
-/// * **run slicing** — the batch is cut into maximal same-flow runs in
-///   arrival order and each run feeds one `record_hashes` call. This
-///   covers sorted batches and bursty traffic (packet trains) without
-///   any reordering;
-/// * **sort grouping** — when runs are short *but* few distinct flows
-///   share the batch (round-robin traffic), a `(flow, position)` sort
-///   rebuilds long per-flow runs; the position component keeps each
-///   flow's items in arrival order;
-/// * **batched probe** — when runs are short *and* flows are diverse
-///   (adversarial run-length-1 interleaves, uniform traffic), neither
-///   slicing nor sorting can amortise flow resolution, so the whole
-///   batch goes to [`FlowTable::record_batch`]: a prefetch-pipelined
-///   probe pass plus inline-tier recording, whose item order is
-///   exactly batch order.
+/// Neither path reorders a flow's items, so the resulting per-flow
+/// states and tier census are bit-identical to recording the batch one
+/// item at a time.
 pub fn record_batch_grouped<E: CardinalityEstimator, F: FlowFactory<E>>(
     table: &mut FlowTable<E, F>,
     batch: &[(u64, ItemHash)],
     scratch: &mut GroupScratch,
 ) {
-    if batch.is_empty() {
-        return;
-    }
-    // Sorted batches slice perfectly with no reordering (early-exiting
-    // scan: ~2 compares on unsorted data). Unsorted batches count
-    // their maximal same-flow runs: bursty traffic still slices well,
-    // and only short-run batches dominated by few flows are worth the
-    // reordering sort.
-    let sorted = batch.windows(2).all(|w| w[0].0 <= w[1].0);
-    let sliced_runs_amortise = sorted || {
-        let runs = 1 + batch.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        2 * runs <= batch.len()
-    };
-    if sliced_runs_amortise {
-        let mut i = 0;
-        while i < batch.len() {
-            let flow = batch[i].0;
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == flow {
-                j += 1;
-            }
-            // One table resolution per run; the table (and, once
-            // materialized, the estimator's own `record_hashes`)
-            // decides per-item vs batched recording for the slice.
-            scratch.run.clear();
-            scratch.run.extend(batch[i..j].iter().map(|&(_, h)| h));
-            table.record_hashes(flow, &scratch.run);
-            i = j;
-        }
-        return;
-    }
-    if !few_flows_dominate(batch) {
-        // Short runs over diverse flows: slicing would degrade to
-        // per-item resolution and sorting could never rebuild long
-        // runs, so hand the whole batch to the table's batched-probe
-        // path (no GroupScratch involvement at all).
+    let runs = 1 + batch.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    if 2 * runs > batch.len() {
         table.record_batch(batch);
         return;
     }
-    scratch.order.clear();
-    scratch
-        .order
-        .extend(batch.iter().enumerate().map(|(i, &(flow, _))| (flow, i as u32)));
-    // Unstable sort of a totally ordered key set is order-stable: the
-    // position component breaks every tie, keeping per-flow arrival
-    // order.
-    scratch.order.sort_unstable();
-    let order = &scratch.order;
-    let mut i = 0;
-    while i < order.len() {
-        let flow = order[i].0;
-        let mut j = i + 1;
-        while j < order.len() && order[j].0 == flow {
-            j += 1;
-        }
+    for run in batch.chunk_by(|a, b| a.0 == b.0) {
         scratch.run.clear();
-        scratch
-            .run
-            .extend(order[i..j].iter().map(|&(_, pos)| batch[pos as usize].1));
-        table.record_hashes(flow, &scratch.run);
-        i = j;
+        scratch.run.extend(run.iter().map(|&(_, h)| h));
+        table.record_hashes(run[0].0, &scratch.run);
     }
 }
 
@@ -2034,39 +1940,65 @@ mod tests {
 
     #[test]
     fn grouped_recording_matches_per_item_on_interleaved_batches() {
-        // Four flows deliberately interleaved so the contiguity fast
-        // path never triggers but few_flows_dominate approves the
-        // sort: the grouping must still replay every flow's items in
-        // arrival order.
-        let sp = spec();
-        let scheme = sp.scheme();
-        let mut grouped = FlowTable::new(move |_| sp.build().unwrap());
-        let mut reference = FlowTable::new(move |_| sp.build().unwrap());
-        let mut scratch = GroupScratch::default();
-        let mut state = 0x9E37_79B9_u64;
-        for round in 0..50u64 {
-            let batch: Vec<(u64, ItemHash)> = (0..257u64)
-                .map(|i| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state % 4, scheme.item_hash(&(round * 1000 + i).to_le_bytes()))
-                })
-                .collect();
-            record_batch_grouped(&mut grouped, &batch, &mut scratch);
-            for &(flow, hash) in &batch {
-                reference.record_hash(flow, hash);
+        // A few flows round-robin interleaved, so runs average one item
+        // and every batch goes to `FlowTable::record_batch`. Eager and
+        // tiered tables alike must replay every flow's items in arrival
+        // order: bit-identical estimates and an equal tier census.
+        fn check(table: impl Fn() -> FlowTable<DynEstimator>, flows: u64, len: u64) {
+            let scheme = spec().scheme();
+            let mut grouped = table();
+            let mut reference = table();
+            let mut scratch = GroupScratch::default();
+            for round in 0..50u64 {
+                let batch: Vec<(u64, ItemHash)> = (0..len)
+                    .map(|i| {
+                        (
+                            (round + i) % flows,
+                            scheme.item_hash(&(round * 1000 + i).to_le_bytes()),
+                        )
+                    })
+                    .collect();
+                record_batch_grouped(&mut grouped, &batch, &mut scratch);
+                for &(flow, hash) in &batch {
+                    reference.record_hash(flow, hash);
+                }
+            }
+            assert!(
+                scratch.run.is_empty(),
+                "{flows}-flow batches must go to record_batch"
+            );
+            assert_eq!(grouped.len(), reference.len());
+            assert_eq!(
+                grouped.tier_stats(),
+                reference.tier_stats(),
+                "{flows} flows × {len}"
+            );
+            for flow in 0..flows {
+                assert_eq!(
+                    grouped.estimate(flow).map(f64::to_bits),
+                    reference.estimate(flow).map(f64::to_bits),
+                    "flow {flow} of {flows} × {len}"
+                );
             }
         }
-        assert!(!scratch.order.is_empty(), "four-flow batches must take the sort path");
-        assert_eq!(grouped.len(), reference.len());
-        for flow in 0..4u64 {
-            assert_eq!(grouped.estimate(flow), reference.estimate(flow), "flow {flow}");
+        let sp = spec();
+        for flows in [4u64, 8] {
+            for len in [32u64, 257] {
+                check(|| FlowTable::new(move |_| sp.build().unwrap()), flows, len);
+                check(
+                    || FlowTable::tiered(sp.scheme(), move |_| sp.build().unwrap()),
+                    flows,
+                    len,
+                );
+            }
         }
     }
 
     #[test]
     fn grouped_recording_matches_per_item_on_flow_dense_batches() {
-        // Nearly every item from a different flow: the density check
-        // must route around the sort, and results must still match.
+        // Nearly every item from a different flow: runs are too short
+        // to slice, so the batch goes to `FlowTable::record_batch`, and
+        // results must still match.
         let sp = spec();
         let scheme = sp.scheme();
         let mut grouped = FlowTable::new(move |_| sp.build().unwrap());
@@ -2082,7 +2014,10 @@ mod tests {
         for &(flow, hash) in &batch {
             reference.record_hash(flow, hash);
         }
-        assert!(scratch.order.is_empty(), "flow-dense batches must skip the sort path");
+        assert!(
+            scratch.run.is_empty(),
+            "flow-dense batches must go to record_batch"
+        );
         assert_eq!(grouped.len(), reference.len());
         for (flow, _) in &batch {
             assert_eq!(grouped.estimate(*flow), reference.estimate(*flow), "flow {flow}");
@@ -2091,8 +2026,8 @@ mod tests {
 
     #[test]
     fn grouped_recording_batched_probe_matches_per_item_on_tiered_stores() {
-        // The third regime (short runs, diverse flows → batched probe)
-        // on *tiered* tables: the inline-tier fast path must record
+        // The batched-probe path (short runs, diverse flows) on
+        // *tiered* tables: the inline-tier fast path must record
         // into Small/Array cells, promote at the exact same items as
         // the per-item model, and leave a bit-identical tier census.
         let sp = spec();
@@ -2106,14 +2041,12 @@ mod tests {
         for round in 0..40u64 {
             // Run-length-1 interleave: a wide tail of ~20k flows (most
             // stay Small, some reach Array) plus 8 hot flows (~1/8 of
-            // items) that promote to Full mid-run. The hot fraction is
-            // kept small so the 16-point density sample stays diverse
-            // and every round takes the batched-probe regime.
+            // items) that promote to Full mid-run. Runs stay short, so
+            // every round goes to `FlowTable::record_batch`.
             let batch: Vec<(u64, ItemHash)> = (0..1024u64)
                 .map(|i| {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    // High bits only: the LCG's low bits are periodic
-                    // and would alias with the sampler's stride.
+                    // High bits only: the LCG's low bits are periodic.
                     let flow = if state >> 61 == 0 { (state >> 33) % 8 } else { (state >> 33) % 20_000 };
                     (flow, scheme.item_hash(&(round * 100_000 + i).to_le_bytes()))
                 })
@@ -2123,7 +2056,10 @@ mod tests {
                 reference.record_hash(flow, hash);
             }
         }
-        assert!(scratch.order.is_empty(), "diverse-flow batches must take the batched-probe path");
+        assert!(
+            scratch.run.is_empty(),
+            "diverse-flow batches must go to record_batch"
+        );
         assert_eq!(grouped.len(), reference.len());
         assert_eq!(grouped.tier_stats(), reference.tier_stats(), "tier censuses must match");
         for flow in 0..20_000u64 {
@@ -2135,8 +2071,7 @@ mod tests {
     fn grouped_recording_matches_per_item_on_bursty_batches() {
         // Unsorted packet trains (runs of 2..=20 items per flow, flows
         // revisited out of order): run slicing must engage without any
-        // sort, covering both the short-run direct path and the long-run
-        // `record_hashes` path, and replay arrival order exactly.
+        // reordering and replay arrival order exactly.
         let sp = spec();
         let scheme = sp.scheme();
         let mut grouped = FlowTable::new(move |_| sp.build().unwrap());
@@ -2158,7 +2093,10 @@ mod tests {
         for &(flow, hash) in &batch {
             reference.record_hash(flow, hash);
         }
-        assert!(scratch.order.is_empty(), "train-shaped batches must slice runs, not sort");
+        assert!(
+            !scratch.run.is_empty(),
+            "train-shaped batches must slice runs"
+        );
         assert_eq!(grouped.len(), reference.len());
         for flow in 0..50u64 {
             assert_eq!(grouped.estimate(flow), reference.estimate(flow), "flow {flow}");
@@ -2172,8 +2110,9 @@ mod tests {
         let mut grouped = FlowTable::new(move |_| sp.build().unwrap());
         let mut reference = FlowTable::new(move |_| sp.build().unwrap());
         let mut scratch = GroupScratch::default();
-        // Sorted by flow: single flows, runs, and a trailing singleton.
-        let batch: Vec<(u64, ItemHash)> = [1u64, 2, 2, 2, 5, 5, 9]
+        // Sorted by flow: single flows, runs, and a trailing singleton,
+        // averaging two items per run, so the batch is run-sliced.
+        let batch: Vec<(u64, ItemHash)> = [1u64, 2, 2, 2, 5, 5, 5, 9]
             .iter()
             .enumerate()
             .map(|(i, &f)| (f, scheme.item_hash(&(i as u64).to_le_bytes())))
@@ -2185,7 +2124,10 @@ mod tests {
         for flow in [1u64, 2, 5, 9] {
             assert_eq!(grouped.estimate(flow), reference.estimate(flow), "flow {flow}");
         }
-        assert!(scratch.order.is_empty(), "fast path must not populate the sort buffer");
+        assert!(
+            !scratch.run.is_empty(),
+            "contiguous batches must slice runs"
+        );
     }
 
     #[test]

@@ -224,12 +224,13 @@ pub fn encode_record_batch(records: &[(u64, &[u8])]) -> Vec<u8> {
     out
 }
 
-/// Decode a `RECORD_BATCH` payload into owned `(flow, item)` records.
+/// Decode a `RECORD_BATCH` payload into `(flow, item)` records whose
+/// items borrow from `payload`.
 ///
 /// The declared record count is validated against the bytes actually
-/// present (each record needs at least 2 bytes) before any per-record
-/// allocation, so a forged count cannot balloon memory.
-pub fn decode_record_batch(payload: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, NetError> {
+/// present (each record needs at least 2 bytes) before the record
+/// vector is sized, so a forged count cannot balloon memory.
+pub fn decode_record_batch(payload: &[u8]) -> Result<Vec<(u64, &[u8])>, NetError> {
     let mut p = Payload::new(payload);
     let count = p.varint()?;
     let remaining = payload.len() - 1;
@@ -239,12 +240,10 @@ pub fn decode_record_batch(payload: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, NetErr
         )));
     }
     let mut records = Vec::with_capacity(count as usize);
-    for i in 0..count {
+    for _ in 0..count {
         let flow = p.varint()?;
         let len = p.varint()?;
-        let item = p.take(len as usize, "RECORD_BATCH item bytes")?;
-        let _ = i;
-        records.push((flow, item.to_vec()));
+        records.push((flow, p.take(len as usize, "RECORD_BATCH item bytes")?));
     }
     p.finish("RECORD_BATCH")?;
     Ok(records)
@@ -418,8 +417,8 @@ mod tests {
         let payload = encode_record_batch(&records);
         let decoded = decode_record_batch(&payload).unwrap();
         assert_eq!(decoded.len(), 3);
-        assert_eq!(decoded[0], (7, b"alpha".to_vec()));
-        assert_eq!(decoded[2], (u64::MAX, Vec::new()));
+        assert_eq!(decoded[0], (7, b"alpha".as_slice()));
+        assert_eq!(decoded[2], (u64::MAX, b"".as_slice()));
     }
 
     #[test]

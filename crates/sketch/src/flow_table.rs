@@ -173,6 +173,33 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
         self.flows.reserve(n);
     }
 
+    /// Split the table into its cell map and the recording rules that
+    /// write into it.
+    #[inline]
+    fn split(&mut self) -> (&mut OpenTable<FlowCell<E>>, Recorder<'_, F>) {
+        let FlowTable {
+            flows,
+            factory,
+            scheme,
+            stats,
+            ..
+        } = self;
+        let rec = Recorder {
+            factory,
+            stats,
+            eager: scheme.is_none(),
+        };
+        (flows, rec)
+    }
+
+    /// Resolve `flow`'s cell, creating it on first sight.
+    #[inline]
+    fn entry(&mut self, flow: u64) -> (&mut FlowCell<E>, Recorder<'_, F>) {
+        let (flows, mut rec) = self.split();
+        let cell = flows.get_or_insert_with(flow, |f| rec.first_sight(f));
+        (cell, rec)
+    }
+
     /// Record `item` under `flow`, creating the flow's cell on first
     /// sight. Tiered tables hash through their shared scheme and feed
     /// the tier ladder; eager tables delegate hashing to the flow's
@@ -182,19 +209,8 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
         match self.scheme {
             Some(scheme) => self.record_hash(flow, scheme.item_hash(item)),
             None => {
-                let FlowTable {
-                    flows,
-                    factory,
-                    stats,
-                    ..
-                } = self;
-                let cell = flows.get_or_insert_with(flow, |f| {
-                    stats.inc(Tier::Full);
-                    FlowCell::from_estimator(factory.build(f))
-                });
-                let before = cell.tier();
-                cell.force_estimator(|| factory.build(flow)).record(item);
-                stats.transition(before, Tier::Full);
+                let (cell, mut rec) = self.entry(flow);
+                rec.materialize(cell, flow).record(item);
             }
         }
     }
@@ -205,31 +221,8 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     /// across all flows).
     #[inline]
     pub fn record_hash(&mut self, flow: u64, hash: ItemHash) {
-        let tiered = self.scheme.is_some();
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        if tiered {
-            let cell = flows.get_or_insert_with(flow, |_| {
-                stats.inc(Tier::Small);
-                FlowCell::new()
-            });
-            let before = cell.tier();
-            cell.record_hash(hash, || factory.build(flow));
-            stats.transition(before, cell.tier());
-        } else {
-            let cell = flows.get_or_insert_with(flow, |f| {
-                stats.inc(Tier::Full);
-                FlowCell::from_estimator(factory.build(f))
-            });
-            let before = cell.tier();
-            cell.force_estimator(|| factory.build(flow))
-                .record_hash(hash);
-            stats.transition(before, Tier::Full);
-        }
+        let (cell, mut rec) = self.entry(flow);
+        rec.record_hash(cell, flow, hash);
     }
 
     /// Record a batch of pre-computed hashes under `flow` — one table
@@ -237,31 +230,13 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     /// through the estimator's batched path.
     #[inline]
     pub fn record_hashes(&mut self, flow: u64, hashes: &[ItemHash]) {
-        let tiered = self.scheme.is_some();
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        if tiered {
-            let cell = flows.get_or_insert_with(flow, |_| {
-                stats.inc(Tier::Small);
-                FlowCell::new()
-            });
-            let before = cell.tier();
-            cell.record_hashes(hashes, || factory.build(flow));
-            stats.transition(before, cell.tier());
-        } else {
-            let cell = flows.get_or_insert_with(flow, |f| {
-                stats.inc(Tier::Full);
-                FlowCell::from_estimator(factory.build(f))
-            });
-            let before = cell.tier();
-            cell.force_estimator(|| factory.build(flow))
-                .record_hashes(hashes);
-            stats.transition(before, Tier::Full);
+        let (cell, mut rec) = self.entry(flow);
+        if rec.eager {
+            rec.materialize(cell, flow);
         }
+        let before = cell.tier();
+        cell.record_hashes(hashes, || rec.factory.build(flow));
+        rec.stats.transition(before, cell.tier());
     }
 
     /// Record a batch of interleaved `(flow, hash)` pairs in arrival
@@ -269,22 +244,23 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     /// runs are too short for [`FlowTable::record_hashes`] grouping to
     /// amortise anything (≈1 item per run).
     ///
-    /// Three passes over the batch:
+    /// On a table past cache residency, three passes over each chunk:
     ///
     /// 1. **probe** — [`OpenTable::probe_batch`] resolves every flow's
     ///    slot with prefetch-pipelined lookups;
     /// 2. **insert** (first-sight flows only, usually skipped) — any
-    ///    missed flow gets its empty cell inserted, then the batch is
-    ///    re-probed: robin-hood insertion steals residents' slots, so
-    ///    pre-insertion slot indices are never trusted afterwards;
+    ///    missed flow gets its first-sight cell inserted, then the
+    ///    batch is re-probed: robin-hood insertion steals residents'
+    ///    slots, so pre-insertion slot indices are never trusted
+    ///    afterwards;
     /// 3. **record** — one in-order pass writes each item into its
-    ///    resolved cell. `Full` cells take one estimator call with no
-    ///    tier bookkeeping (the run-length-1 survivor fast path);
-    ///    `Small`/`Array` cells record inline — dedup against 1–16
-    ///    resident hashes, no estimator resolution, no scratch entry.
-    ///    Recording mutates cells strictly in place (promotion
-    ///    replaces the cell *value*, never its slot), so every
-    ///    resolved slot stays valid for the whole pass.
+    ///    resolved cell by the same per-item rule as
+    ///    [`FlowTable::record_hash`]. Recording mutates cells strictly
+    ///    in place (promotion replaces the cell *value*, never its
+    ///    slot), so every resolved slot stays valid for the whole pass.
+    ///
+    /// Cache-resident tables and first-sight-dominated chunks skip the
+    /// passes and loop over [`FlowTable::record_hash`].
     ///
     /// Per-flow arrival order is exactly the batch order, so estimates
     /// and tier censuses are bit-identical to recording the batch one
@@ -299,69 +275,24 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
         // a cold table fills.
         const RECORD_CHUNK: usize = 256;
         for chunk in batch.chunks(RECORD_CHUNK) {
-            self.record_chunk(chunk);
-        }
-    }
-
-    /// Per-item recording with a steady-state fast lane: resident
-    /// [`FlowCell::Full`] cells take the estimator call directly — a
-    /// Full→Full census transition is definitionally a no-op, so
-    /// skipping the tier bookkeeping cannot change observable state.
-    /// First-sight flows and inline-tier cells (which may promote) go
-    /// through the full bookkeeping path, identical to
-    /// [`FlowTable::record_hash`].
-    fn record_per_item(&mut self, batch: &[(u64, ItemHash)]) {
-        let tiered = self.scheme.is_some();
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        for &(flow, hash) in batch {
-            match flows.get_mut(flow) {
-                Some(FlowCell::Full(est)) => est.record_hash(hash),
-                Some(cell) => {
-                    let before = cell.tier();
-                    cell.record_hash(hash, || factory.build(flow));
-                    stats.transition(before, cell.tier());
-                }
-                None if tiered => {
-                    let cell = flows.get_or_insert_with(flow, |_| {
-                        stats.inc(Tier::Small);
-                        FlowCell::new()
-                    });
-                    let before = cell.tier();
-                    cell.record_hash(hash, || factory.build(flow));
-                    stats.transition(before, cell.tier());
-                }
-                None => {
-                    let cell = flows.get_or_insert_with(flow, |f| {
-                        stats.inc(Tier::Full);
-                        FlowCell::from_estimator(factory.build(f))
-                    });
-                    cell.force_estimator(|| factory.build(flow))
-                        .record_hash(hash);
+            if !self.record_chunk_batched(chunk) {
+                for &(flow, hash) in chunk {
+                    self.record_hash(flow, hash);
                 }
             }
         }
     }
 
     /// One bounded probe → insert → record cycle of
-    /// [`FlowTable::record_batch`].
-    fn record_chunk(&mut self, batch: &[(u64, ItemHash)]) {
-        if batch.is_empty() {
-            return;
-        }
+    /// [`FlowTable::record_batch`]. Returns `false`, having recorded
+    /// nothing, when the chunk is cheaper item by item.
+    fn record_chunk_batched(&mut self, batch: &[(u64, ItemHash)]) -> bool {
         if !self.flows.prefetch_pays() {
             // Cache-resident table: every probe is already an L1/L2
             // hit, so the batched pipeline's second pass and slot
-            // staging buy nothing — direct per-item recording (the
-            // sequential reference itself) is strictly cheaper.
-            self.record_per_item(batch);
-            return;
+            // staging buy nothing.
+            return false;
         }
-        let tiered = self.scheme.is_some();
         let mut slots = std::mem::take(&mut self.probe_slots);
         self.flows
             .probe_batch(batch.iter().map(|&(flow, _)| flow), &mut slots);
@@ -370,74 +301,35 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
             // First-sight-dominated batch (cold table, flow churn): the
             // batched path would pay an insert probe *plus* a full
             // re-probe pass per item, where per-item recording folds
-            // lookup and insert into one probe. Fall back to the
-            // sequential reference — it is the semantics being
-            // reproduced, so equivalence is free.
+            // lookup and insert into one probe.
             self.probe_slots = slots;
-            self.record_per_item(batch);
-            return;
+            return false;
         }
+        let (flows, mut rec) = self.split();
         if misses > 0 {
-            {
-                let FlowTable {
-                    flows,
-                    factory,
-                    stats,
-                    ..
-                } = self;
-                for (&(flow, _), &slot) in batch.iter().zip(&slots) {
-                    if slot != PROBE_MISS {
-                        continue;
-                    }
-                    // A flow repeated within the batch only inserts
-                    // once; get_or_insert_with absorbs the rest.
-                    if tiered {
-                        flows.get_or_insert_with(flow, |_| {
-                            stats.inc(Tier::Small);
-                            FlowCell::new()
-                        });
-                    } else {
-                        flows.get_or_insert_with(flow, |f| {
-                            stats.inc(Tier::Full);
-                            FlowCell::from_estimator(factory.build(f))
-                        });
-                    }
+            for (&(flow, _), &slot) in batch.iter().zip(&slots) {
+                // A flow repeated within the batch only inserts once;
+                // get_or_insert_with absorbs the rest.
+                if slot == PROBE_MISS {
+                    flows.get_or_insert_with(flow, |f| rec.first_sight(f));
                 }
             }
-            self.flows
-                .probe_batch(batch.iter().map(|&(flow, _)| flow), &mut slots);
+            flows.probe_batch(batch.iter().map(|&(flow, _)| flow), &mut slots);
         }
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        // One lookahead stage ahead of the record on tables past cache
-        // residency: the probe pass already pulled each chunk's cell
-        // lines toward cache, so only the cells' boxed payloads (one
-        // more dependent hop the probe cannot see) still need hinting,
-        // a few items before their record consumes them. Cache-
-        // resident tables skip the hints (see
-        // `OpenTable::prefetch_pays`).
+        // One lookahead stage ahead of the record: the probe pass
+        // already pulled each chunk's cell lines toward cache, so only
+        // the cells' boxed payloads (one more dependent hop the probe
+        // cannot see) still need hinting, a few items before their
+        // record consumes them.
         const PAYLOAD_LOOKAHEAD: usize = 3;
-        let hint = flows.prefetch_pays();
         for (i, (&(flow, hash), &slot)) in batch.iter().zip(&slots).enumerate() {
-            if hint {
-                if let Some(&ahead) = slots.get(i + PAYLOAD_LOOKAHEAD) {
-                    flows.slot_get(ahead).prefetch_payload();
-                }
+            if let Some(&ahead) = slots.get(i + PAYLOAD_LOOKAHEAD) {
+                flows.slot_get(ahead).prefetch_payload();
             }
-            let cell = flows.slot_mut(slot);
-            if let FlowCell::Full(est) = cell {
-                est.record_hash(hash);
-            } else {
-                let before = cell.tier();
-                cell.record_hash(hash, || factory.build(flow));
-                stats.transition(before, cell.tier());
-            }
+            rec.record_hash(flows.slot_mut(slot), flow, hash);
         }
         self.probe_slots = slots;
+        true
     }
 
     /// Estimate the cardinality of `flow`; `None` if never seen.
@@ -610,6 +502,76 @@ impl<E: CardinalityEstimator, F> std::fmt::Debug for FlowTable<E, F> {
             .field("flows", &self.flows.len())
             .field("tiered", &self.scheme.is_some())
             .finish()
+    }
+}
+
+/// A [`FlowTable`]'s recording rules, borrowed apart from its cell
+/// map so a caller can hold a resolved cell and the rules at once.
+struct Recorder<'a, F> {
+    factory: &'a F,
+    stats: &'a mut TierStats,
+    /// No shared scheme: every cell materializes on record.
+    eager: bool,
+}
+
+impl<F> Recorder<'_, F> {
+    /// The table's one first-sight rule: an empty `Small` cell when
+    /// tiered, a factory-built `Full` cell when eager, counted in the
+    /// tier census either way.
+    fn first_sight<E: CardinalityEstimator>(&mut self, flow: u64) -> FlowCell<E>
+    where
+        F: FlowFactory<E>,
+    {
+        let cell = if self.eager {
+            FlowCell::from_estimator(self.factory.build(flow))
+        } else {
+            FlowCell::new()
+        };
+        self.stats.inc(cell.tier());
+        cell
+    }
+
+    /// Materialize `cell` (replaying any stored hashes), keeping the
+    /// census. Eager tables do this before every record, so a cell
+    /// placed unmaterialized by [`FlowTable::insert_cell`] materializes
+    /// on its first record whatever the record path.
+    fn materialize<'c, E: CardinalityEstimator>(
+        &mut self,
+        cell: &'c mut FlowCell<E>,
+        flow: u64,
+    ) -> &'c mut E
+    where
+        F: FlowFactory<E>,
+    {
+        let before = cell.tier();
+        let est = cell.force_estimator(|| self.factory.build(flow));
+        self.stats.transition(before, Tier::Full);
+        est
+    }
+
+    /// The table's one per-item rule. A resident `Full` cell takes the
+    /// estimator call directly: a Full→Full census transition is a
+    /// no-op, so skipping the bookkeeping cannot change observable
+    /// state. Any other cell materializes first in an eager table and
+    /// climbs the tier ladder in a tiered one.
+    #[inline]
+    fn record_hash<E: CardinalityEstimator>(
+        &mut self,
+        cell: &mut FlowCell<E>,
+        flow: u64,
+        hash: ItemHash,
+    ) where
+        F: FlowFactory<E>,
+    {
+        if let FlowCell::Full(est) = cell {
+            est.record_hash(hash);
+        } else if self.eager {
+            self.materialize(cell, flow).record_hash(hash);
+        } else {
+            let before = cell.tier();
+            cell.record_hash(hash, || self.factory.build(flow));
+            self.stats.transition(before, cell.tier());
+        }
     }
 }
 
@@ -911,6 +873,48 @@ mod tests {
         let mut eager: FlowTable<Smb> =
             FlowTable::new(move |_| Smb::with_scheme(2048, 128, scheme).unwrap());
         exercise(&mut eager, scheme);
+    }
+
+    #[test]
+    fn eager_record_paths_agree_on_the_tier_census() {
+        // An eager table materializes on record whatever the path, also
+        // a cell placed unmaterialized by `insert_cell` (as a restore
+        // does). Every path must leave the same census and bit-equal
+        // estimates, on a cache-resident table and on one past
+        // `prefetch_pays`, where `record_batch` runs its probe passes.
+        let scheme = HashScheme::with_seed(5);
+        let hashes: Vec<ItemHash> = [1u32, 2, 3, 2, 4]
+            .iter()
+            .map(|i| scheme.item_hash(&i.to_le_bytes()))
+            .collect();
+        for reserve in [0usize, 1 << 15] {
+            let table = || {
+                let mut t: FlowTable<Smb> =
+                    FlowTable::new(move |_| Smb::with_scheme(2048, 128, scheme).unwrap());
+                t.reserve(reserve);
+                t.insert_cell(1, FlowCell::new());
+                t
+            };
+            let mut by_hash = table();
+            for &h in &hashes {
+                by_hash.record_hash(1, h);
+            }
+            let mut by_hashes = table();
+            by_hashes.record_hashes(1, &hashes);
+            let mut by_batch = table();
+            assert_eq!(by_batch.flows.prefetch_pays(), reserve > 0);
+            let batch: Vec<_> = hashes.iter().map(|&h| (1, h)).collect();
+            by_batch.record_batch(&batch);
+
+            let census = by_hash.tier_stats();
+            assert_eq!((census.small, census.array, census.full), (0, 0, 1));
+            let expect = by_hash.estimate(1).map(f64::to_bits);
+            for (name, t) in [("record_hashes", &by_hashes), ("record_batch", &by_batch)] {
+                assert_eq!(t.tier_stats(), census, "{name}, reserve {reserve}");
+                let got = t.estimate(1).map(f64::to_bits);
+                assert_eq!(got, expect, "{name}, reserve {reserve}");
+            }
+        }
     }
 
     #[test]

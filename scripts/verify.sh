@@ -56,7 +56,17 @@ step "kernel equivalence gates (offline): open-table differential + morph bounda
 # the hash map it replaced, and batched SMB recording bit-identical to
 # sequential across morph boundaries. Any divergence fails the build.
 cargo test -q --offline -p smb-sketch --test differential
-cargo test -q --offline -p smb-core batched_matches_sequential
+# Both morph-boundary tests run by exact name and must report
+# "2 passed", so a rename cannot filter either away.
+batched_out="$(cargo test --offline -p smb-core --lib -- --exact \
+    smb::tests::batched_matches_sequential_across_morph_boundaries \
+    smb::tests::batched_matches_sequential_into_saturation 2>&1)"
+if ! grep -q "2 passed" <<<"$batched_out"; then
+    echo "FAIL: batched-vs-sequential SMB tests did not run or pass:" >&2
+    echo "$batched_out" >&2
+    exit 1
+fi
+echo "ok: batched SMB recording bit-identical to sequential across morphs and saturation"
 
 step "prefetch intrinsics gate: hints must lower on x86_64/aarch64"
 # The batched-probe pipeline leans on software prefetch; if the
