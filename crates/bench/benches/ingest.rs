@@ -591,7 +591,7 @@ fn main() {
     // second on-disk format.
     {
         use smb_engine::{CheckpointConfig, CheckpointFormat};
-        use smb_sketch::codec::{decode_flow_block, encode_flow_block};
+        use smb_sketch::codec::decode_flow_block;
         use std::fs;
 
         let shard_bytes = |dir: &std::path::Path| -> u64 {
@@ -663,14 +663,14 @@ fn main() {
             bench.extra(format!("checkpoint_v2_over_json_{suffix}"), Json::Float(ratio));
 
             // On the large state, also time the wire snapshot block —
-            // the SNAPSHOT response body — both directions, and prove
-            // the round trip is lossless before trusting the numbers.
+            // the SNAPSHOT response body — both directions: encoding
+            // as the server does (straight from the live cells) and
+            // decoding as the client does. The block must decode to
+            // the JSON reference cells before the numbers count.
             if flows >= 100_000 {
-                let cells = engine
-                    .query_handle()
-                    .snapshot_cells()
-                    .expect("snapshot cells");
-                let block = encode_flow_block(&cells).expect("sorted cells encode");
+                let queries = engine.query_handle();
+                let cells = queries.snapshot_cells().expect("snapshot cells");
+                let block = queries.snapshot_block().expect("snapshot block");
                 assert_eq!(
                     decode_flow_block(&block).expect("decode own block"),
                     cells,
@@ -680,7 +680,7 @@ fn main() {
                 let mb = block.len() as f64 / (1024.0 * 1024.0);
                 let start = std::time::Instant::now();
                 for _ in 0..reps {
-                    black_box(encode_flow_block(&cells).expect("encode"));
+                    black_box(queries.snapshot_block().expect("encode"));
                 }
                 let encode_s = start.elapsed().as_secs_f64() / reps as f64;
                 let start = std::time::Instant::now();

@@ -153,6 +153,14 @@ impl CardinalityEstimator for Bitmap {
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
+
+    #[cfg(feature = "snapshot")]
+    fn packed_state(&self) -> Option<crate::PackedState<'_>> {
+        Some(crate::PackedState::Bitmap {
+            scheme: self.scheme,
+            bits: &self.bits,
+        })
+    }
 }
 
 impl MergeableEstimator for Bitmap {

@@ -135,6 +135,14 @@ impl BitVec {
         })
     }
 
+    /// The packed storage words: bit `i` lives in word `i / 64` at bit
+    /// position `i % 64`, and bits at or above [`BitVec::len`] in the
+    /// last word are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Heap + inline memory consumed by the bit storage, in bits.
     /// (Used by the experiment harness to report memory parity.)
     pub fn storage_bits(&self) -> usize {

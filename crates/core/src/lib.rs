@@ -43,4 +43,4 @@ pub use error::{Error, Result};
 pub use observe::{EstimatorEvent, MorphCollector, MorphEvent, ObserverHandle, SmbObserver};
 pub use sampled::SampledBitmap;
 pub use smb::{Smb, SmbBuilder, SmbParams, SmbSnapshot};
-pub use traits::{CardinalityEstimator, MergeableEstimator};
+pub use traits::{CardinalityEstimator, MergeableEstimator, PackedState};

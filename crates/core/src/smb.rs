@@ -445,6 +445,18 @@ impl CardinalityEstimator for Smb {
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
+
+    #[cfg(feature = "snapshot")]
+    fn packed_state(&self) -> Option<crate::PackedState<'_>> {
+        Some(crate::PackedState::Smb {
+            scheme: self.scheme,
+            m: self.m,
+            t: self.t,
+            r: self.r,
+            v: self.v,
+            bits: &self.bits,
+        })
+    }
 }
 
 /// Validate the paper's `(m, T)` constraints.

@@ -2,8 +2,40 @@
 
 use smb_hash::{HashScheme, ItemHash};
 
+use crate::bits::BitVec;
 use crate::error::Result;
 use crate::observe::ObserverHandle;
+
+/// A borrowed view of a bitmap-backed estimator's complete state: the
+/// same fields its JSON snapshot carries, with the bitmap left in its
+/// packed words. Encoders that write the state as bytes read this
+/// instead of building and re-walking a JSON tree.
+#[derive(Debug, Clone, Copy)]
+pub enum PackedState<'a> {
+    /// A self-morphing bitmap ([`crate::Smb`]): Algorithm 1's whole
+    /// state is `(r, v)` plus the `m`-bit bitmap.
+    Smb {
+        /// The hash scheme items are recorded under.
+        scheme: HashScheme,
+        /// Physical bitmap size.
+        m: usize,
+        /// Morphing threshold `T`.
+        t: usize,
+        /// Current round.
+        r: u32,
+        /// Fresh bits set in the current round.
+        v: usize,
+        /// The physical bitmap.
+        bits: &'a BitVec,
+    },
+    /// A plain bitmap ([`crate::Bitmap`]).
+    Bitmap {
+        /// The hash scheme items are recorded under.
+        scheme: HashScheme,
+        /// The bitmap.
+        bits: &'a BitVec,
+    },
+}
 
 /// A streaming cardinality estimator.
 ///
@@ -106,6 +138,19 @@ pub trait CardinalityEstimator {
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         None
     }
+
+    /// Borrow this estimator's state as a [`PackedState`], the
+    /// allocation-free counterpart of
+    /// [`CardinalityEstimator::snapshot_state`] for bitmap-backed
+    /// estimators. It describes exactly the state `snapshot_state`
+    /// serializes. Returns `None` (the default) when the estimator has
+    /// no such view; callers then fall back to `snapshot_state`.
+    ///
+    /// Only available with the `snapshot` feature.
+    #[cfg(feature = "snapshot")]
+    fn packed_state(&self) -> Option<PackedState<'_>> {
+        None
+    }
 }
 
 /// Boxed estimators (including trait objects such as
@@ -149,6 +194,10 @@ impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Box<T> {
     #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         (**self).snapshot_state()
+    }
+    #[cfg(feature = "snapshot")]
+    fn packed_state(&self) -> Option<PackedState<'_>> {
+        (**self).packed_state()
     }
 }
 

@@ -61,6 +61,7 @@ use smb_core::Error;
 use smb_devtools::{Json, Snapshot};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::crc32::crc32;
+use smb_sketch::codec::FlowBlockBuilder;
 use smb_sketch::FlowCell;
 use smb_telemetry::{
     Counter, FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry,
@@ -244,6 +245,9 @@ pub(crate) struct CheckpointMetrics {
     pub restored_flows: Arc<Counter>,
     /// Inconsistent epochs skipped during restore.
     pub skipped_epochs: Arc<Counter>,
+    /// Directory fsyncs that failed after an otherwise complete
+    /// checkpoint (see [`write_checkpoint`]).
+    pub dir_sync_failures: Arc<Counter>,
 }
 
 impl CheckpointMetrics {
@@ -275,6 +279,10 @@ impl CheckpointMetrics {
             skipped_epochs: registry.counter(
                 "engine_restore_skipped_epochs_total",
                 "Inconsistent epochs skipped during restore",
+            ),
+            dir_sync_failures: registry.counter(
+                "engine_checkpoint_dir_sync_failures_total",
+                "Directory fsyncs that failed after a checkpoint was written",
             ),
         }
     }
@@ -324,22 +332,20 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> smb_core::Result<()> {
     fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
 }
 
-/// Best-effort directory fsync so the renames above are durable. Some
-/// filesystems cannot fsync directories; that only weakens durability
-/// of the very last epoch, never consistency, so errors are ignored.
-fn sync_dir(path: &Path) {
-    if let Ok(d) = File::open(path) {
-        let _ = d.sync_all();
-    }
+/// Fsync a directory so the renames into it are durable.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    File::open(path)?.sync_all()
 }
 
 /// Snapshot one shard's flow table as `(flow, state)` pairs sorted by
 /// flow key, so a given table always produces identical bytes (and
-/// therefore an identical CRC) in either shard format. Each cell
-/// serializes its own tier — unmaterialized cells as a
-/// `{"tier", "hashes"}` wrapper, full cells as the estimator's bare
-/// state (byte-identical to pre-tier checkpoints, so old epochs keep
-/// restoring).
+/// therefore an identical CRC). Each cell serializes its own tier —
+/// unmaterialized cells as a `{"tier", "hashes"}` wrapper, full cells
+/// as the estimator's bare state (byte-identical to pre-tier
+/// checkpoints, so old epochs keep restoring). The v1 shard writer
+/// and [`crate::QueryHandle::snapshot_cells`] read tables through
+/// this; v2 shards and `SNAPSHOT` encode cells directly
+/// ([`push_shard_cells`]).
 pub(crate) fn shard_flows(table: &ShardTable) -> smb_core::Result<Vec<(u64, Json)>> {
     let mut flows: Vec<(u64, Json)> = Vec::with_capacity(table.len());
     for (flow, state) in table.snapshot_cells() {
@@ -355,56 +361,79 @@ pub(crate) fn shard_flows(table: &ShardTable) -> smb_core::Result<Vec<(u64, Json
     Ok(flows)
 }
 
-/// Serialize a shard's sorted flows in the chosen format: the v1 JSON
-/// document or the v2 compressed flow block.
-pub(crate) fn encode_shard(
-    format: CheckpointFormat,
-    shard: usize,
-    flows: Vec<(u64, Json)>,
-) -> smb_core::Result<Vec<u8>> {
-    match format {
-        CheckpointFormat::V1Json => {
-            let json = Json::Obj(vec![
-                ("shard".into(), Json::Int(shard as i128)),
-                (
-                    "flows".into(),
-                    Json::Arr(
-                        flows
-                            .into_iter()
-                            .map(|(flow, state)| {
-                                Json::Arr(vec![Json::Int(flow as i128), state])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]);
-            Ok(json.to_string().into_bytes())
-        }
-        CheckpointFormat::V2Binary => smb_sketch::codec::encode_flow_block(&flows)
-            .map_err(|e| Error::invalid("shard", e.to_string())),
+/// Encode every cell of one shard's table into `block`, straight from
+/// the live cells. Once sorted, the cells frame to the same bytes
+/// `encode_flow_block(&shard_flows(table)?)` gives.
+pub(crate) fn push_shard_cells(
+    block: &mut FlowBlockBuilder,
+    table: &ShardTable,
+) -> smb_core::Result<()> {
+    for (flow, cell) in table.cells() {
+        block
+            .push_cell(flow, cell)
+            .map_err(|e| Error::invalid("snapshot", e.to_string()))?;
     }
+    Ok(())
+}
+
+/// Sort `block`'s cells by flow key and frame them as one flow block.
+pub(crate) fn finish_block(block: FlowBlockBuilder) -> smb_core::Result<Vec<u8>> {
+    block
+        .finish_sorted()
+        .map_err(|e| Error::invalid("snapshot", e.to_string()))
+}
+
+/// Serialize a shard's sorted flows as the v1 JSON document.
+fn encode_v1_shard(shard: usize, flows: Vec<(u64, Json)>) -> Vec<u8> {
+    let json = Json::Obj(vec![
+        ("shard".into(), Json::Int(shard as i128)),
+        (
+            "flows".into(),
+            Json::Arr(
+                flows
+                    .into_iter()
+                    .map(|(flow, state)| Json::Arr(vec![Json::Int(flow as i128), state]))
+                    .collect(),
+            ),
+        ),
+    ]);
+    json.to_string().into_bytes()
 }
 
 /// Write epoch `epoch`: every shard file, then the manifest as the
 /// commit record. Returns the total bytes written. Each shard's table
-/// lock is held only while that shard serializes, so ingest keeps
-/// flowing on the other shards.
+/// lock is held only while that shard's cells are read, so ingest
+/// keeps flowing on the other shards.
+///
+/// The epoch and checkpoint directories are fsynced last so the
+/// renames survive a crash. A failed directory fsync is counted in
+/// `engine_checkpoint_dir_sync_failures_total` but does not fail the
+/// checkpoint: some filesystems cannot fsync directories, and a lost
+/// rename only costs the newest epoch's durability, never its
+/// consistency (restore falls back to an older epoch).
 pub(crate) fn write_checkpoint(
     config: &CheckpointConfig,
     epoch: u64,
     spec: AlgoSpec,
     tables: &[Arc<Mutex<ShardTable>>],
+    metrics: &CheckpointMetrics,
 ) -> smb_core::Result<u64> {
     let edir = config.dir.join(epoch_dir_name(epoch));
     fs::create_dir_all(&edir).map_err(|e| io_err("create dir", &edir, e))?;
     let mut files: Vec<Json> = Vec::with_capacity(tables.len());
     let mut total = 0u64;
     for (shard, table) in tables.iter().enumerate() {
-        let flows = {
-            let table = table.lock().expect("shard table lock");
-            shard_flows(&table)?
+        let bytes = match config.format {
+            CheckpointFormat::V1Json => {
+                let flows = shard_flows(&table.lock().expect("shard table lock"))?;
+                encode_v1_shard(shard, flows)
+            }
+            CheckpointFormat::V2Binary => {
+                let mut block = FlowBlockBuilder::default();
+                push_shard_cells(&mut block, &table.lock().expect("shard table lock"))?;
+                finish_block(block)?
+            }
         };
-        let bytes = encode_shard(config.format, shard, flows)?;
         let name = config.format.shard_file_name(shard);
         write_atomic(&edir.join(&name), &bytes)?;
         files.push(Json::Obj(vec![
@@ -432,8 +461,11 @@ pub(crate) fn write_checkpoint(
     let manifest_bytes = manifest.to_string().into_bytes();
     total += manifest_bytes.len() as u64;
     write_atomic(&edir.join(MANIFEST), &manifest_bytes)?;
-    sync_dir(&edir);
-    sync_dir(&config.dir);
+    for dir in [&edir, &config.dir] {
+        if sync_dir(dir).is_err() {
+            metrics.dir_sync_failures.inc();
+        }
+    }
     Ok(total)
 }
 
@@ -634,7 +666,7 @@ pub(crate) fn checkpoint_with_retries(
     let mut attempt = 0u32;
     loop {
         let start = Instant::now();
-        match write_checkpoint(config, epoch, spec, tables) {
+        match write_checkpoint(config, epoch, spec, tables, metrics) {
             Ok(bytes) => {
                 metrics
                     .duration
@@ -782,6 +814,18 @@ mod tests {
     #[test]
     fn list_epochs_of_missing_dir_is_empty() {
         assert!(list_epochs(Path::new("/nonexistent/smb-ckpt")).is_empty());
+    }
+
+    #[test]
+    fn sync_dir_reports_failure_instead_of_swallowing_it() {
+        let dir = std::env::temp_dir().join(format!("smb-sync-dir-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        assert!(sync_dir(&dir).is_ok());
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            sync_dir(&dir).is_err(),
+            "a removed directory cannot be synced"
+        );
     }
 
     #[test]

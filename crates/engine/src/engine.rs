@@ -37,6 +37,7 @@ use std::time::Instant;
 use smb_core::{CardinalityEstimator, EstimatorEvent, ObserverHandle, SmbObserver as _, SmbParams};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::{mix, HashScheme, ItemHash};
+use smb_sketch::codec::FlowBlockBuilder;
 use smb_sketch::{FlowFactory, FlowTable, TierStats};
 use smb_telemetry::{
     BatchedMetricsObserver, FlightEvent, FlightEventKind, FlightRecorder, Histogram, Registry,
@@ -401,7 +402,11 @@ pub struct QueryHandle {
     /// The `query_sweep` stage histogram
     /// (`engine_stage_duration_ns{shard="all",stage="query_sweep"}`);
     /// every full sweep records its wall time here.
-    sweep: Option<Arc<Histogram>>,
+    sweep: Arc<Histogram>,
+    /// The `snapshot_encode` stage histogram
+    /// (`engine_stage_duration_ns{shard="all",stage="snapshot_encode"}`);
+    /// every [`QueryHandle::snapshot_block`] records its wall time here.
+    snapshot_encode: Arc<Histogram>,
 }
 
 impl QueryHandle {
@@ -452,20 +457,42 @@ impl QueryHandle {
             top_k_in_place(&mut all, k);
             report.top_k = Some(all);
         }
-        if let Some(sweep) = &self.sweep {
-            sweep.record(duration_ns(start.elapsed()));
-        }
+        self.sweep.record(duration_ns(start.elapsed()));
         report
+    }
+
+    /// Every flow's cells as one flow block
+    /// ([`smb_sketch::codec::encode_flow_block`]'s format, `PROTOCOL.md`
+    /// §5): the payload of a wire `SNAPSHOT` response. Each cell is
+    /// encoded straight from the live table, with no JSON state in
+    /// between, and the bytes equal
+    /// `encode_flow_block(&self.snapshot_cells()?)`. Locks each shard
+    /// once, one at a time; results reflect batches the workers have
+    /// already processed. The wall time lands in
+    /// `engine_stage_duration_ns{stage="snapshot_encode"}`.
+    ///
+    /// # Errors
+    /// When a materialized estimator does not support snapshots.
+    pub fn snapshot_block(&self) -> smb_core::Result<Vec<u8>> {
+        let start = Instant::now();
+        let mut block = FlowBlockBuilder::default();
+        for table in &self.shards {
+            let table = table.lock().expect("shard table lock");
+            crate::durability::push_shard_cells(&mut block, &table)?;
+        }
+        let bytes = crate::durability::finish_block(block)?;
+        self.snapshot_encode.record(duration_ns(start.elapsed()));
+        Ok(bytes)
     }
 
     /// Snapshot every flow's serialized cell state, sorted by flow
     /// key — unmaterialized cells as `{"tier", "hashes"}` wrappers,
-    /// materialized ones as the estimator's own state. This is the
-    /// payload of a wire `SNAPSHOT` response (encoded with
-    /// [`smb_sketch::codec::encode_flow_block`]) and is exactly what a
-    /// checkpoint shard holds, so a transferred snapshot restores
-    /// bit-identically. Locks each shard briefly, one at a time;
-    /// results reflect batches the workers have already processed.
+    /// materialized ones as the estimator's own state. This is what a
+    /// wire `SNAPSHOT` response decodes to, and the JSON reference the
+    /// direct encoder [`QueryHandle::snapshot_block`] is tested
+    /// against: `encode_flow_block` of these cells gives the same
+    /// bytes. Locks each shard briefly, one at a time; results reflect
+    /// batches the workers have already processed.
     ///
     /// # Errors
     /// When a materialized estimator does not support snapshots.
@@ -527,6 +554,10 @@ pub struct ShardedFlowEngine {
     /// (`engine_stage_duration_ns{shard="all",stage="query_sweep"}`),
     /// shared with every [`QueryHandle`].
     query_sweep: Arc<Histogram>,
+    /// The `snapshot_encode` stage histogram
+    /// (`engine_stage_duration_ns{shard="all",stage="snapshot_encode"}`),
+    /// shared with every [`QueryHandle`].
+    snapshot_encode: Arc<Histogram>,
     /// Estimator-event telemetry (engines built via
     /// [`ShardedFlowEngine::new`] / restore): the batched observer the
     /// workers flush plus the flight recorder. `None` for custom
@@ -843,6 +874,11 @@ impl ShardedFlowEngine {
             STAGE_HELP,
             &[("shard", "all"), ("stage", "query_sweep")],
         );
+        let snapshot_encode = registry.histogram_with(
+            "engine_stage_duration_ns",
+            STAGE_HELP,
+            &[("shard", "all"), ("stage", "snapshot_encode")],
+        );
         let front = EngineProducer::new(
             scheme,
             config.batch,
@@ -865,6 +901,7 @@ impl ShardedFlowEngine {
             next_epoch: Arc::new(Mutex::new(0)),
             checkpointer: None,
             query_sweep,
+            snapshot_encode,
             telemetry,
         })
     }
@@ -961,7 +998,8 @@ impl ShardedFlowEngine {
     pub fn query_handle(&self) -> QueryHandle {
         QueryHandle {
             shards: self.shards.iter().map(|s| Arc::clone(&s.table)).collect(),
-            sweep: Some(Arc::clone(&self.query_sweep)),
+            sweep: Arc::clone(&self.query_sweep),
+            snapshot_encode: Arc::clone(&self.snapshot_encode),
         }
     }
 
@@ -2642,5 +2680,99 @@ mod tests {
         // still terminates because shutdown drained the queues.
         producer.barrier();
         assert_eq!(queries.snapshot_cells().unwrap().len(), 8);
+    }
+
+    /// `SNAPSHOT` and v2 checkpoint shards encode live cells directly;
+    /// their bytes must equal the JSON reference path's
+    /// (`encode_flow_block` of `snapshot_cells` / `shard_flows`) on a
+    /// table holding every tier, and the checkpoint must still restore
+    /// bit-identically.
+    #[test]
+    fn snapshot_block_and_v2_checkpoint_match_json_reference() {
+        use crate::durability::shard_flows;
+        use smb_devtools::Json;
+        use smb_hash::crc32::crc32;
+        use smb_sketch::codec::encode_flow_block;
+
+        let mut engine =
+            ShardedFlowEngine::new(EngineConfig::new(spec()).with_shards(2).with_batch(32))
+                .unwrap();
+        // Singletons (small tier), 8-item flows (array tier), 300-item
+        // flows (fresh estimators) and 20k-item flows (several morphs).
+        let mix = [
+            (0..40u64, 1u64),
+            (100..110, 8),
+            (200..205, 300),
+            (300..302, 20_000),
+        ];
+        for (flows, items) in mix {
+            for flow in flows {
+                for i in 0..items {
+                    engine.ingest(flow, &(flow * 100_000 + i).to_le_bytes());
+                }
+            }
+        }
+        engine.flush();
+        let tiers = engine.tier_stats();
+        assert_eq!((tiers.small, tiers.array, tiers.full), (40, 10, 7));
+
+        let queries = engine.query_handle();
+        let cells = queries.snapshot_cells().unwrap();
+        let max_round = cells
+            .iter()
+            .filter_map(|(_, state)| state.field("r").ok()?.as_u64().ok())
+            .max();
+        assert!(
+            max_round >= Some(2),
+            "hot flows morphed: max round {max_round:?}"
+        );
+        let reference = encode_flow_block(&cells).unwrap();
+        assert_eq!(
+            queries.snapshot_block().unwrap(),
+            reference,
+            "SNAPSHOT block"
+        );
+
+        let dir = std::env::temp_dir().join(format!("smb-v2-identity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CheckpointConfig::new(&dir);
+        assert_eq!(config.format, crate::CheckpointFormat::V2Binary);
+        let epoch = engine.checkpoint_now(&config).unwrap();
+        let edir = dir.join(format!("epoch-{epoch:010}"));
+        let manifest = std::fs::read_to_string(edir.join("MANIFEST.json")).unwrap();
+        let manifest = Json::parse(&manifest).unwrap();
+        let Json::Arr(files) = manifest.field("body").unwrap().field("files").unwrap() else {
+            panic!("manifest files is not an array");
+        };
+        assert_eq!(files.len(), 2);
+        for (shard, entry) in engine.shards.iter().zip(files) {
+            let want =
+                encode_flow_block(&shard_flows(&shard.table.lock().unwrap()).unwrap()).unwrap();
+            let name = entry.field("name").unwrap().as_str().unwrap();
+            assert_eq!(
+                std::fs::read(edir.join(name)).unwrap(),
+                want,
+                "{name} bytes"
+            );
+            assert_eq!(
+                entry.field("crc32").unwrap().as_u64().unwrap(),
+                u64::from(crc32(&want)),
+                "{name} manifest CRC"
+            );
+        }
+
+        let (restored, report) = ShardedFlowEngine::restore(&dir).unwrap();
+        assert_eq!(report.flows, 57);
+        let bits = |e: &ShardedFlowEngine| {
+            let mut all: Vec<(u64, u64)> = e
+                .all_estimates()
+                .into_iter()
+                .map(|(f, x)| (f, x.to_bits()))
+                .collect();
+            all.sort_unstable();
+            all
+        };
+        assert_eq!(bits(&restored), bits(&engine), "restore is bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

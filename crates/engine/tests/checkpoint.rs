@@ -523,6 +523,14 @@ fn durability_metrics_track_checkpoint_and_restore() {
         .as_histogram()
         .unwrap();
     assert!(bytes.sum > 0, "checkpoints wrote bytes");
+    // Healthy checkpoints sync their directories; the failure counter
+    // is exported from the start and stays at zero.
+    assert_eq!(
+        snap.get("engine_checkpoint_dir_sync_failures_total", &[])
+            .unwrap()
+            .as_counter(),
+        Some(0)
+    );
 
     // Corrupt the newest epoch, restore, and check the recovery side.
     let victim = dir.join("epoch-0000000001").join("MANIFEST.json");

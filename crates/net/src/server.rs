@@ -408,11 +408,10 @@ impl Session {
         Ok(Flow::Continue)
     }
 
-    /// Flush + barrier already ran; read every cell and encode the
-    /// flow block (`PROTOCOL.md` §5).
+    /// Flush + barrier already ran; encode every cell into the flow
+    /// block (`PROTOCOL.md` §5).
     fn snapshot_block(&self) -> Result<Vec<u8>, String> {
-        let cells = self.query.snapshot_cells().map_err(|e| e.to_string())?;
-        smb_sketch::codec::encode_flow_block(&cells).map_err(|e| e.to_string())
+        self.query.snapshot_block().map_err(|e| e.to_string())
     }
 
     /// Tail the flight recorder: replay what is buffered, then poll

@@ -229,3 +229,35 @@ fn subscribe_morphs_replays_recorded_events() {
     client.shutdown_server().unwrap();
     server.join().unwrap();
 }
+
+#[test]
+fn snapshot_records_one_encode_sample_per_request() {
+    let served = engine();
+    let (addr, server) = spawn_server(&served);
+    let encode_samples = || {
+        served
+            .metrics_snapshot()
+            .get(
+                "engine_stage_duration_ns",
+                &[("shard", "all"), ("stage", "snapshot_encode")],
+            )
+            .expect("snapshot_encode is registered up front")
+            .as_histogram()
+            .expect("a histogram")
+            .count
+    };
+    assert_eq!(encode_samples(), 0);
+
+    let mut client = SmbClient::connect(addr.as_str()).unwrap();
+    send_all(&mut client, &workload());
+    let cells = client.snapshot().unwrap();
+    assert_eq!(cells.len(), workload().len());
+    assert_eq!(
+        encode_samples(),
+        1,
+        "one SNAPSHOT, one snapshot_encode sample"
+    );
+
+    client.shutdown_server().unwrap();
+    server.join().unwrap();
+}

@@ -17,14 +17,22 @@
 //!   `ceil(m/64)` little-endian words instead of a decimal index list,
 //!   an 8× (dense) to 30× (sparse-decimal) size cut.
 //!
-//! The codec is a *lossless transcoder of the canonical v1 JSON
+//! The bytes are a *lossless encoding of the canonical v1 JSON
 //! state*: [`decode_cell_state`] rebuilds exactly the [`Json`] value
-//! that [`encode_cell_state`] consumed, so every restore path
-//! (estimator `from_json`, tier rebuild, invariant validation) is
-//! shared with the JSON format and bit-identity holds by construction.
-//! States the binary tags cannot express round-trip through an
-//! escape-hatch tag carrying literal JSON text, so *any* estimator's
-//! state survives, just without the compression win.
+//! the bytes stand for, so every restore path (estimator `from_json`,
+//! tier rebuild, invariant validation) is shared with the JSON format
+//! and bit-identity holds by construction. States the binary tags
+//! cannot express round-trip through an escape-hatch tag carrying
+//! literal JSON text, so *any* estimator's state survives, just
+//! without the compression win.
+//!
+//! There are two writers of the same bytes. [`encode_cell`] and
+//! [`FlowBlockBuilder::push_cell`] encode a live [`FlowCell`] directly
+//! — hash lists from its pending hashes, SMB and bitmap state from the
+//! estimator's [`PackedState`] words — and are what `SNAPSHOT` and v2
+//! checkpoints use. [`encode_cell_state`] and [`encode_flow_block`]
+//! transcode JSON states; they are the reference the direct writer is
+//! tested against, byte for byte, and serve callers that hold JSON.
 //!
 //! Every decoder is hardened: hostile or truncated input returns
 //! [`CodecError`], never panics, and every length field is validated
@@ -35,12 +43,20 @@
 //! bytes this module emits.
 //!
 //! [`FlowCell::snapshot_state`]: crate::flow_cell::FlowCell::snapshot_state
+//! [`FlowCell`]: crate::flow_cell::FlowCell
+//! [`PackedState`]: smb_core::PackedState
 //! [`Smb`]: smb_core::Smb
 
 use std::fmt;
+use std::ops::Range;
 
+#[cfg(feature = "snapshot")]
+use smb_core::{CardinalityEstimator, PackedState};
 use smb_devtools::Json;
+use smb_hash::HashAlgorithm;
 
+#[cfg(feature = "snapshot")]
+use crate::flow_cell::FlowCell;
 use crate::flow_cell::{ARRAY_CAP, SMALL_CAP};
 
 /// Cell-state tag: literal JSON text fallback (any estimator state).
@@ -304,22 +320,23 @@ fn read_packed_bits(r: &mut Reader<'_>, len: usize) -> Result<Vec<usize>, CodecE
 // Hash schemes
 // ---------------------------------------------------------------------
 
+/// The hash-algorithm registry: an algorithm's wire code is its index
+/// here, next to the name its JSON scheme object carries.
+const ALGORITHMS: [(HashAlgorithm, &str); 3] = [
+    (HashAlgorithm::Xxh64, "xxh64"),
+    (HashAlgorithm::Murmur3_128Low, "murmur3_128_low"),
+    (HashAlgorithm::Fnv1aMixed, "fnv1a_mixed"),
+];
+
 fn algorithm_code(name: &str) -> Option<u8> {
-    match name {
-        "xxh64" => Some(0),
-        "murmur3_128_low" => Some(1),
-        "fnv1a_mixed" => Some(2),
-        _ => None,
-    }
+    ALGORITHMS.iter().position(|&(_, n)| n == name).map(|i| i as u8)
 }
 
 fn algorithm_name(code: u8) -> Result<&'static str, CodecError> {
-    match code {
-        0 => Ok("xxh64"),
-        1 => Ok("murmur3_128_low"),
-        2 => Ok("fnv1a_mixed"),
-        other => Err(CodecError::new(format!("unknown hash algorithm code {other}"))),
-    }
+    ALGORITHMS
+        .get(usize::from(code))
+        .map(|&(_, name)| name)
+        .ok_or_else(|| CodecError::new(format!("unknown hash algorithm code {code}")))
 }
 
 /// Strict read of a `{"algorithm", "seed"}` scheme object. `None`
@@ -485,38 +502,124 @@ fn bitmap_parts(state: &Json) -> Option<(u8, u64, usize, Vec<usize>)> {
 /// ```
 pub fn encode_cell_state(state: &Json) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    write_cell_state(&mut out, state);
+    out
+}
+
+/// Append [`encode_cell_state`]'s bytes for `state` to `out`.
+fn write_cell_state(out: &mut Vec<u8>, state: &Json) {
     if let Some((tag, hashes)) = tier_parts(state) {
         out.push(tag);
-        write_hash_list(&mut out, &hashes);
-        return out;
+        write_hash_list(out, &hashes);
+        return;
     }
     if let Some((alg, seed, m, t, r, v, ones)) = smb_parts(state) {
         out.push(TAG_SMB);
         out.push(alg);
-        write_varint(&mut out, seed);
-        write_varint(&mut out, m);
-        write_varint(&mut out, t);
-        write_varint(&mut out, r);
-        write_varint(&mut out, v);
-        write_packed_bits(&mut out, m as usize, &ones);
-        return out;
+        write_varint(out, seed);
+        write_varint(out, m);
+        write_varint(out, t);
+        write_varint(out, r);
+        write_varint(out, v);
+        write_packed_bits(out, m as usize, &ones);
+        return;
     }
     if let Some((alg, seed, len, ones)) = bitmap_parts(state) {
         out.push(TAG_BITMAP);
         out.push(alg);
-        write_varint(&mut out, seed);
-        write_varint(&mut out, len as u64);
-        write_packed_bits(&mut out, len, &ones);
-        return out;
+        write_varint(out, seed);
+        write_varint(out, len as u64);
+        write_packed_bits(out, len, &ones);
+        return;
     }
     // Escape hatch: literal JSON text. Still smaller than the JSON
     // shard line in most cases (no field-name repetition savings, but
     // no loss either) and guarantees the codec is total.
     let text = state.to_string();
     out.push(TAG_JSON);
-    write_varint(&mut out, text.len() as u64);
+    write_varint(out, text.len() as u64);
     out.extend_from_slice(text.as_bytes());
-    out
+}
+
+/// Encode one live cell into exactly the bytes
+/// `encode_cell_state(&cell.snapshot_state()?)` produces, without
+/// building the JSON state. Unmaterialized cells write their hash list
+/// straight from [`FlowCell::pending_hashes`]; SMB and plain-bitmap
+/// estimators write their [`PackedState`] words; any other estimator
+/// goes through its JSON snapshot and [`encode_cell_state`]. Returns
+/// `None` when a materialized estimator does not support snapshots.
+#[cfg(feature = "snapshot")]
+pub fn encode_cell<E: CardinalityEstimator>(cell: &FlowCell<E>) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(32);
+    write_cell(&mut out, cell)?;
+    Some(out)
+}
+
+/// Append [`encode_cell`]'s bytes for `cell` to `out`; `None` (with
+/// nothing appended) when the cell's estimator has no snapshot.
+#[cfg(feature = "snapshot")]
+fn write_cell<E: CardinalityEstimator>(out: &mut Vec<u8>, cell: &FlowCell<E>) -> Option<()> {
+    let tag = match cell {
+        FlowCell::Small { .. } => TAG_SMALL,
+        FlowCell::Array(_) => TAG_ARRAY,
+        FlowCell::Full(est) => {
+            if !est
+                .packed_state()
+                .is_some_and(|state| write_packed_state(out, state))
+            {
+                write_cell_state(out, &est.snapshot_state()?);
+            }
+            return Some(());
+        }
+    };
+    out.push(tag);
+    write_hash_list(out, cell.pending_hashes().expect("unmaterialized cell"));
+    Some(())
+}
+
+/// Append the [`TAG_SMB`] / [`TAG_BITMAP`] encoding of a borrowed
+/// estimator state, words copied as they lie. Returns `false` with
+/// nothing appended when the JSON transcoder would not give the state
+/// that tag (an unregistered hash algorithm, a bitmap whose length is
+/// not `m`, or stray bits past its length), so the caller's JSON
+/// fallback keeps the bytes identical.
+#[cfg(feature = "snapshot")]
+fn write_packed_state(out: &mut Vec<u8>, state: PackedState<'_>) -> bool {
+    let (scheme, bits) = match state {
+        PackedState::Smb { m, bits, .. } if bits.len() != m => return false,
+        PackedState::Smb { scheme, bits, .. } | PackedState::Bitmap { scheme, bits } => {
+            (scheme, bits)
+        }
+    };
+    let Some(alg) = ALGORITHMS
+        .iter()
+        .position(|&(a, _)| a == scheme.algorithm())
+    else {
+        return false;
+    };
+    let tail = bits.len() % 64;
+    if tail != 0 && bits.words().last().is_some_and(|&w| w >> tail != 0) {
+        return false;
+    }
+    if let PackedState::Smb { m, t, r, v, .. } = state {
+        out.push(TAG_SMB);
+        out.push(alg as u8);
+        write_varint(out, scheme.seed());
+        write_varint(out, m as u64);
+        write_varint(out, t as u64);
+        write_varint(out, u64::from(r));
+        write_varint(out, v as u64);
+    } else {
+        out.push(TAG_BITMAP);
+        out.push(alg as u8);
+        write_varint(out, scheme.seed());
+        write_varint(out, bits.len() as u64);
+    }
+    out.reserve(bits.words().len() * 8);
+    for word in bits.words() {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    true
 }
 
 fn decode_cell_state_reader(r: &mut Reader<'_>) -> Result<Json, CodecError> {
@@ -609,7 +712,9 @@ pub fn decode_cell_state(bytes: &[u8]) -> Result<Json, CodecError> {
 /// a varint key delta (first key raw; keys must be strictly
 /// ascending, so deltas stay positive) followed by a varint-length-
 /// prefixed [`encode_cell_state`] payload. This is both the v2
-/// checkpoint shard body and the wire `SNAPSHOT` response payload.
+/// checkpoint shard body and the wire `SNAPSHOT` response payload;
+/// the server and checkpoint writer produce the same bytes from live
+/// cells through [`FlowBlockBuilder::push_cell`].
 ///
 /// # Errors
 /// [`CodecError`] when `flows` is not strictly ascending by key — the
@@ -629,30 +734,94 @@ pub fn decode_cell_state(bytes: &[u8]) -> Result<Json, CodecError> {
 /// assert_eq!(decode_flow_block(&block).unwrap(), flows);
 /// ```
 pub fn encode_flow_block(flows: &[(u64, Json)]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(16 + flows.len() * 16);
-    out.extend_from_slice(&FLOW_BLOCK_MAGIC);
-    write_varint(&mut out, flows.len() as u64);
-    let mut prev = 0u64;
-    for (i, (flow, state)) in flows.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, *flow);
-        } else {
-            let delta = flow
-                .checked_sub(prev)
-                .filter(|&d| d > 0)
-                .ok_or_else(|| {
-                    CodecError::new(format!(
-                        "flow keys must be strictly ascending ({prev:#x} then {flow:#x})"
-                    ))
-                })?;
-            write_varint(&mut out, delta);
-        }
-        prev = *flow;
-        let cell = encode_cell_state(state);
-        write_varint(&mut out, cell.len() as u64);
-        out.extend_from_slice(&cell);
+    let mut block = FlowBlockBuilder::default();
+    for (flow, state) in flows {
+        block.push_state(*flow, state);
     }
-    Ok(out)
+    block.finish()
+}
+
+/// A flow block assembled from cells encoded one at a time, in any
+/// order: every cell's bytes go back to back into one arena, each
+/// tagged with its flow key and byte range, and [`FlowBlockBuilder::finish`]
+/// frames them. Callers sweeping several tables push every cell and
+/// let [`FlowBlockBuilder::finish_sorted`] order them by key.
+#[derive(Debug, Default)]
+pub struct FlowBlockBuilder {
+    /// Every pushed cell's encoding, back to back.
+    arena: Vec<u8>,
+    /// `(flow, arena range)` per pushed cell, in push order.
+    spans: Vec<(u64, Range<usize>)>,
+}
+
+impl FlowBlockBuilder {
+    /// Add `flow`'s cell as its JSON state ([`encode_cell_state`]).
+    pub fn push_state(&mut self, flow: u64, state: &Json) {
+        let start = self.arena.len();
+        write_cell_state(&mut self.arena, state);
+        self.spans.push((flow, start..self.arena.len()));
+    }
+
+    /// Add `flow`'s live cell ([`encode_cell`]).
+    ///
+    /// # Errors
+    /// [`CodecError`] when the cell's estimator does not support
+    /// snapshots; nothing is added.
+    #[cfg(feature = "snapshot")]
+    pub fn push_cell<E: CardinalityEstimator>(
+        &mut self,
+        flow: u64,
+        cell: &FlowCell<E>,
+    ) -> Result<(), CodecError> {
+        let start = self.arena.len();
+        write_cell(&mut self.arena, cell).ok_or_else(|| {
+            CodecError::new(format!(
+                "estimator for flow {flow} does not support snapshots"
+            ))
+        })?;
+        self.spans.push((flow, start..self.arena.len()));
+        Ok(())
+    }
+
+    /// Frame the pushed cells, in push order, as one flow block (the
+    /// format [`encode_flow_block`] documents).
+    ///
+    /// # Errors
+    /// [`CodecError`] when the keys are not strictly ascending.
+    pub fn finish(self) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::with_capacity(16 + self.spans.len() * 12 + self.arena.len());
+        out.extend_from_slice(&FLOW_BLOCK_MAGIC);
+        write_varint(&mut out, self.spans.len() as u64);
+        let mut prev = 0u64;
+        for (i, (flow, range)) in self.spans.into_iter().enumerate() {
+            if i == 0 {
+                write_varint(&mut out, flow);
+            } else {
+                let delta = flow
+                    .checked_sub(prev)
+                    .filter(|&d| d > 0)
+                    .ok_or_else(|| {
+                        CodecError::new(format!(
+                            "flow keys must be strictly ascending ({prev:#x} then {flow:#x})"
+                        ))
+                    })?;
+                write_varint(&mut out, delta);
+            }
+            prev = flow;
+            write_varint(&mut out, range.len() as u64);
+            out.extend_from_slice(&self.arena[range]);
+        }
+        Ok(out)
+    }
+
+    /// Sort the pushed cells by flow key, then [`FlowBlockBuilder::finish`].
+    ///
+    /// # Errors
+    /// [`CodecError`] when a flow key was pushed twice.
+    pub fn finish_sorted(mut self) -> Result<Vec<u8>, CodecError> {
+        self.spans.sort_unstable_by_key(|&(flow, _)| flow);
+        self.finish()
+    }
 }
 
 /// Decode a flow block produced by [`encode_flow_block`], returning

@@ -286,3 +286,178 @@ fn flow_block_rejects_unsorted_and_duplicate_keys() {
     assert!(encode_flow_block(&[(9, state.clone()), (3, state.clone())]).is_err());
     assert!(encode_flow_block(&[(3, state.clone()), (9, state)]).is_ok());
 }
+
+/// The server and checkpoint writer encode live cells directly
+/// (`encode_cell`, `FlowBlockBuilder::push_cell`) instead of
+/// transcoding their JSON snapshot state. For every cell a tiered
+/// table can hold — both unmaterialized tiers, SMB under every hash
+/// algorithm from its first round to saturation, a plain bitmap, and
+/// an estimator with no binary tag — the direct bytes must equal
+/// `encode_cell_state(&cell.snapshot_state())`, and a block assembled
+/// from live cells must equal `encode_flow_block` of the JSON cells.
+#[cfg(feature = "snapshot")]
+#[test]
+fn cell_encoder_matches_json_transcoder_bit_for_bit() {
+    use smb_core::{CardinalityEstimator, Smb};
+    use smb_devtools::prop::{PropError, PropResult};
+    use smb_devtools::rng::{Rng, Xoshiro256pp};
+    use smb_factory::{Algo, AlgoSpec, DynEstimator};
+    use smb_hash::{HashAlgorithm, HashScheme, ItemHash};
+    use smb_sketch::codec::{
+        encode_cell, FlowBlockBuilder, TAG_ARRAY, TAG_BITMAP, TAG_JSON, TAG_SMALL, TAG_SMB,
+    };
+    use smb_sketch::{FlowCell, FlowTable, Tier};
+
+    /// The tag the JSON transcoder gives `cell`, checked against what
+    /// the cell is, so every branch of the direct encoder is exercised.
+    fn expected_tag(cell: &FlowCell<DynEstimator>) -> u8 {
+        match cell.tier() {
+            Tier::Small => TAG_SMALL,
+            Tier::Array => TAG_ARRAY,
+            Tier::Full => match cell.estimator().expect("full cell").name() {
+                "SMB" => TAG_SMB,
+                "Bitmap" => TAG_BITMAP,
+                _ => TAG_JSON,
+            },
+        }
+    }
+
+    fn check_cell(flow: u64, cell: &FlowCell<DynEstimator>) -> PropResult {
+        let state = cell.snapshot_state().expect("factory estimators snapshot");
+        let want = encode_cell_state(&state);
+        prop_assert_eq!(want[0], expected_tag(cell), "flow {} tag", flow);
+        let tier = cell.tier();
+        prop_assert_eq!(
+            encode_cell(cell),
+            Some(want),
+            "flow {} ({:?}) bytes",
+            flow,
+            tier
+        );
+        Ok(())
+    }
+
+    fn check_table(table: &FlowTable<DynEstimator>) -> PropResult {
+        let mut live = FlowBlockBuilder::default();
+        let mut json: Vec<(u64, Json)> = Vec::new();
+        for (flow, cell) in table.cells() {
+            check_cell(flow, cell)?;
+            live.push_cell(flow, cell)
+                .expect("factory estimators snapshot");
+            json.push((
+                flow,
+                cell.snapshot_state().expect("factory estimators snapshot"),
+            ));
+        }
+        json.sort_unstable_by_key(|&(flow, _)| flow);
+        let want = encode_flow_block(&json).expect("sorted keys");
+        prop_assert_eq!(live.finish_sorted().expect("distinct keys"), want);
+        Ok(())
+    }
+
+    let algorithms = [
+        HashAlgorithm::Xxh64,
+        HashAlgorithm::Murmur3_128Low,
+        HashAlgorithm::Fnv1aMixed,
+    ];
+    forall!(cases = 4, (seed in gens::u64s(0..u64::MAX)) => {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        // (name, factory, m): SMB at three (m, T) points under every
+        // hash algorithm, then factory-built Bitmap and HLL.
+        type Make = std::rc::Rc<dyn Fn() -> DynEstimator>;
+        let mut configs: Vec<(String, Make, usize)> = Vec::new();
+        for alg in algorithms {
+            for (m, t) in [(64usize, 3usize), (256, 12), (2048, 157)] {
+                let scheme = HashScheme::new(alg, seed);
+                let make = move || -> DynEstimator {
+                    Box::new(Smb::with_scheme(m, t, scheme).expect("valid SMB"))
+                };
+                configs.push((format!("SMB {alg:?} m={m} T={t}"), std::rc::Rc::new(make), m));
+            }
+        }
+        for algo in [Algo::Bitmap, Algo::Hll] {
+            let spec = AlgoSpec::new(algo).memory_bits(640).seed(seed);
+            let make = move || spec.build().expect("valid spec");
+            configs.push((format!("{algo:?}"), std::rc::Rc::new(make), 640));
+        }
+
+        for (name, make, m) in configs {
+            let mut table: FlowTable<DynEstimator> =
+                FlowTable::tiered(HashScheme::with_seed(seed), move |_| make());
+            // One flow per tier boundary: empty and singleton small
+            // cells, array cells up to capacity, just-promoted and
+            // well-filled estimators.
+            table.insert_cell(0, FlowCell::new());
+            for (flow, distinct) in [(1u64, 1usize), (2, 2), (3, 9), (4, 16), (5, 17), (6, 300)] {
+                for _ in 0..distinct {
+                    table.record_hash(flow, ItemHash::new(rng.next_u64()));
+                }
+            }
+            check_table(&table).map_err(|e| PropError::fail(format!("{name}: {e:?}")))?;
+
+            // Drive one flow through every morph round into saturation
+            // with hashes whose geometric lane is all zeros, so every
+            // item passes every round's sampling; check the cell after
+            // each chunk and the whole table at the end.
+            let hot = 7u64;
+            let mut rounds_seen = std::collections::BTreeSet::new();
+            for _ in 0..(64 * m) {
+                for _ in 0..(m / 16).max(4) {
+                    table.record_hash(hot, ItemHash::new(rng.next_u64() & 0xFFFF_FFFF));
+                }
+                let cell = table.cell(hot).expect("hot flow present");
+                check_cell(hot, cell).map_err(|e| PropError::fail(format!("{name}: {e:?}")))?;
+                if let Some(state) = cell.snapshot_state() {
+                    if let Ok(r) = state.field("r").and_then(|r| r.as_u64()) {
+                        rounds_seen.insert(r);
+                    }
+                }
+                if cell.estimator().is_some_and(|est| est.is_saturated()) {
+                    break;
+                }
+            }
+            let hot_est = table
+                .cell(hot)
+                .and_then(FlowCell::estimator)
+                .expect("hot flow materialized");
+            prop_assert!(hot_est.is_saturated(), "{}: hot flow never saturated", name);
+            if name.starts_with("SMB") {
+                prop_assert!(rounds_seen.len() > 2, "{}: only rounds {:?} checked", name, rounds_seen);
+            }
+            check_table(&table).map_err(|e| PropError::fail(format!("{name}: {e:?}")))?;
+        }
+    });
+}
+
+/// PROTOCOL.md §5.5's worked flow-block example, written both from
+/// its JSON states and from the live cells those states describe.
+#[cfg(feature = "snapshot")]
+#[test]
+fn protocol_flow_block_example_from_json_and_live_cells() {
+    use smb_core::Smb;
+    use smb_hash::ItemHash;
+    use smb_sketch::codec::FlowBlockBuilder;
+    use smb_sketch::FlowCell;
+
+    let want = [
+        0x53, 0x4D, 0x42, 0x32, 0x02, 0x07, 0x03, 0x01, 0x01, 0x2A, 0x0C, 0x02, 0x01, 0x00,
+    ];
+    let flows = vec![
+        (
+            7u64,
+            Json::parse(r#"{"tier":"small","hashes":[42]}"#).unwrap(),
+        ),
+        (
+            19u64,
+            Json::parse(r#"{"tier":"small","hashes":[]}"#).unwrap(),
+        ),
+    ];
+    assert_eq!(encode_flow_block(&flows).unwrap(), want);
+
+    let mut hot: FlowCell<Smb> = FlowCell::new();
+    hot.record_hash(ItemHash::new(42), || Smb::new(256, 16).unwrap());
+    let mut block = FlowBlockBuilder::default();
+    block.push_cell(19, &FlowCell::<Smb>::new()).unwrap();
+    block.push_cell(7, &hot).unwrap();
+    assert_eq!(block.finish_sorted().unwrap(), want);
+}

@@ -103,6 +103,26 @@ if ! grep -q "1 passed" <<<"$closed_form_out"; then
 fi
 echo "ok: closed-form small-tier estimates bit-identical to probe replay"
 
+step "codec byte-identity gates (offline): direct cell encoder vs JSON transcoder"
+# SNAPSHOT and v2 checkpoint shards are encoded straight from live
+# cells; the JSON transcoder is the reference they must match byte for
+# byte — per cell (every tier, SMB under every hash algorithm into
+# saturation, Bitmap, a JSON-tagged estimator) and per engine block
+# and checkpoint shard. Each test runs by exact name and must report
+# "1 passed", so a rename cannot filter it away.
+codec_identity_out="$(cargo test --offline -p smb-sketch --features snapshot --test codec \
+    -- --exact cell_encoder_matches_json_transcoder_bit_for_bit 2>&1)"
+engine_identity_out="$(cargo test --offline -p smb-engine --lib -- --exact \
+    engine::tests::snapshot_block_and_v2_checkpoint_match_json_reference 2>&1)"
+for identity_out in "$codec_identity_out" "$engine_identity_out"; do
+    if ! grep -q "1 passed" <<<"$identity_out"; then
+        echo "FAIL: codec byte-identity test did not run or pass:" >&2
+        echo "$identity_out" >&2
+        exit 1
+    fi
+done
+echo "ok: direct cell encoding byte-identical to the JSON transcoder (cells, SNAPSHOT, v2 shards)"
+
 step "concurrency stress suite (offline): seeded schedules, reproducible"
 # The morph flight recorder is the one lock-free structure in
 # production with a multi-step publish protocol: writers claim ring
