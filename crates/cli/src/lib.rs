@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use smb_core::{CardinalityEstimator, MorphCollector, ObserverHandle, Smb};
 use smb_engine::{
-    BackpressurePolicy, CheckpointConfig, CheckpointFormat, EngineConfig, EngineQuery,
-    ShardedFlowEngine,
+    BackpressurePolicy, CheckpointConfig, EngineConfig, EngineQuery, ShardedFlowEngine,
 };
 use smb_net::{SmbClient, SmbServer};
 use smb_factory::{Algo, AlgoSpec};
@@ -89,9 +88,6 @@ pub struct ServeConfig {
     /// Seconds between background checkpoints (requires
     /// `checkpoint_dir`).
     pub checkpoint_interval: u64,
-    /// Shard encoding for checkpoints: compact binary flow blocks
-    /// (the default) or the v1 JSON documents.
-    pub checkpoint_format: CheckpointFormat,
     /// Instead of reading stdin, listen on this TCP address and serve
     /// the wire protocol (see `PROTOCOL.md`) until a client sends
     /// `SHUTDOWN`. Port `0` binds an ephemeral port; the bound
@@ -292,12 +288,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 metrics_interval: None,
                 checkpoint_dir: None,
                 checkpoint_interval: 30,
-                checkpoint_format: CheckpointFormat::default(),
                 listen: None,
             };
             let mut i = 1;
             let mut interval_given = false;
-            let mut format_given = false;
             while i < args.len() {
                 match args[i].as_str() {
                     "--algo" => cfg.algo = Algo::from_name(take_value(args, &mut i, "--algo")?)?,
@@ -341,19 +335,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             parse_num(args, &mut i, "--checkpoint-interval")?;
                         interval_given = true;
                     }
-                    "--checkpoint-format" => {
-                        cfg.checkpoint_format =
-                            match take_value(args, &mut i, "--checkpoint-format")? {
-                                "v1" | "json" => CheckpointFormat::V1Json,
-                                "v2" | "binary" => CheckpointFormat::V2Binary,
-                                other => {
-                                    return Err(format!(
-                                        "unknown checkpoint format `{other}` (v1|json|v2|binary)"
-                                    ))
-                                }
-                            };
-                        format_given = true;
-                    }
                     "--listen" => {
                         cfg.listen = Some(take_value(args, &mut i, "--listen")?.to_string());
                     }
@@ -368,11 +349,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 return Err(
                     "--checkpoint-interval needs --checkpoint-dir (nowhere to write epochs)"
                         .into(),
-                );
-            }
-            if format_given && cfg.checkpoint_dir.is_none() {
-                return Err(
-                    "--checkpoint-format needs --checkpoint-dir (nowhere to write shards)".into(),
                 );
             }
             if cfg.listen.is_some() && cfg.producers > 1 {
@@ -632,7 +608,6 @@ pub fn run_serve(
     let checkpoint = cfg.checkpoint_dir.as_ref().map(|dir| {
         CheckpointConfig::new(dir)
             .with_interval(std::time::Duration::from_secs(cfg.checkpoint_interval.max(1)))
-            .with_format(cfg.checkpoint_format)
     });
     if let Some(ckpt) = &checkpoint {
         engine
@@ -1348,7 +1323,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = Vec::new();
@@ -1403,7 +1377,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_listen_and_checkpoint_format_flags() {
+    fn parse_listen_flag() {
         let Ok(Command::Serve(c)) = parse_args(&s(&["serve", "--listen", "127.0.0.1:0"])) else {
             panic!("expected serve")
         };
@@ -1412,25 +1386,10 @@ mod tests {
             panic!("expected serve")
         };
         assert_eq!(c.listen, None, "stdin mode is the default");
-        assert_eq!(c.checkpoint_format, CheckpointFormat::V2Binary);
-        let Ok(Command::Serve(c)) = parse_args(&s(&[
-            "serve", "--checkpoint-dir", "/tmp/ck", "--checkpoint-format", "v1",
-        ])) else {
-            panic!("expected serve")
-        };
-        assert_eq!(c.checkpoint_format, CheckpointFormat::V1Json);
-        let Ok(Command::Serve(c)) = parse_args(&s(&[
-            "serve", "--checkpoint-dir", "/tmp/ck", "--checkpoint-format", "binary",
-        ])) else {
-            panic!("expected serve")
-        };
-        assert_eq!(c.checkpoint_format, CheckpointFormat::V2Binary);
+        // Checkpoints are always written as v2; the format flag is gone.
+        let args = s(&["serve", "--checkpoint-dir", "/tmp/ck", "--checkpoint-format", "v2"]);
+        assert!(parse_args(&args).is_err());
         // Inconsistent combinations are rejected at parse time.
-        assert!(parse_args(&s(&["serve", "--checkpoint-format", "v2"])).is_err());
-        assert!(parse_args(&s(&[
-            "serve", "--checkpoint-dir", "/tmp/ck", "--checkpoint-format", "v3",
-        ]))
-        .is_err());
         assert!(
             parse_args(&s(&["serve", "--listen", "127.0.0.1:0", "--producers", "2"])).is_err()
         );
@@ -1518,7 +1477,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = Vec::new();
@@ -1738,7 +1696,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: Some(dir.clone()),
             checkpoint_interval: 3600, // only the final shutdown epoch fires
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = Vec::new();
@@ -1841,7 +1798,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = Vec::new();
@@ -1889,7 +1845,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = (0..500u32).map(|i| format!("f\t{i}"));
@@ -2203,7 +2158,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut lines = Vec::new();
@@ -2250,7 +2204,6 @@ mod tests {
             metrics_interval: None,
             checkpoint_dir: None,
             checkpoint_interval: 30,
-            checkpoint_format: CheckpointFormat::default(),
             listen: None,
         };
         let mut out = Vec::new();

@@ -9,8 +9,7 @@
 //!                [--policy block|drop] [--trace-sample N]
 //!                [--expected-flows F] [--memory-bits M] [--threshold N] [--top K]
 //!                [--metrics json|prom] [--metrics-out PATH] [--metrics-interval SECS]
-//!                [--checkpoint-dir DIR] [--checkpoint-interval SECS]
-//!                [--checkpoint-format v1|v2] [--listen ADDR]
+//!                [--checkpoint-dir DIR] [--checkpoint-interval SECS] [--listen ADDR]
 //!     sharded parallel flows mode: per-flow estimates + engine stats
 //!     (+ metrics snapshot in JSON or Prometheus text exposition,
 //!      + pipeline-stage tracing of every Nth batch,
@@ -72,7 +71,7 @@ fn main() {
                  \x20        [--expected-flows F] [--memory-bits M] [--threshold N] [--top K]   sharded parallel flows mode + engine stats\n\
                  \x20        [--trace-sample N]   record pipeline-stage spans for every Nth batch (0 = off)\n\
                  \x20        [--metrics json|prom] [--metrics-out PATH] [--metrics-interval SECS]   metrics export\n\
-                 \x20        [--checkpoint-dir DIR] [--checkpoint-interval SECS] [--checkpoint-format v1|v2]   durable checkpoints + final epoch\n\
+                 \x20        [--checkpoint-dir DIR] [--checkpoint-interval SECS]   durable checkpoints + final epoch\n\
                  \x20        [--listen ADDR]   serve the wire protocol over TCP instead of reading stdin (see PROTOCOL.md)\n\
                  \x20 client  <record|query|top-k|snapshot|subscribe|ping|shutdown> [--connect ADDR] [--batch N] [--flow NAME] [--top K] [--max N]\n\
                  \x20        talk to a `serve --listen` server\n\

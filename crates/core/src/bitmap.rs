@@ -48,15 +48,20 @@ impl Bitmap {
 
     /// A bitmap of `m` bits hashing through `scheme`.
     pub fn with_scheme(m: usize, scheme: HashScheme) -> Result<Self> {
-        if m == 0 {
-            return Err(Error::invalid("m", "bitmap must have at least one bit"));
-        }
-        if m > u32::MAX as usize {
-            return Err(Error::invalid("m", "bitmap length must fit in 32 bits"));
-        }
+        check_len(m)?;
+        Self::from_parts(scheme, BitVec::new(m))
+    }
+
+    /// A bitmap holding `bits` — a restored state. `ones` is recomputed
+    /// from the bits, never trusted from elsewhere.
+    ///
+    /// # Errors
+    /// The same length constraints as [`Bitmap::with_scheme`].
+    pub fn from_parts(scheme: HashScheme, bits: BitVec) -> Result<Self> {
+        check_len(bits.len())?;
         Ok(Bitmap {
-            bits: BitVec::new(m),
-            ones: 0,
+            ones: bits.count_ones(),
+            bits,
             scheme,
             observer: None,
             saturation_emitted: false,
@@ -90,6 +95,17 @@ impl Bitmap {
     pub fn as_bits(&self) -> &BitVec {
         &self.bits
     }
+}
+
+/// A bitmap needs at least one bit, and its indices fit in 32 bits.
+fn check_len(m: usize) -> Result<()> {
+    if m == 0 {
+        return Err(Error::invalid("m", "bitmap must have at least one bit"));
+    }
+    if m > u32::MAX as usize {
+        return Err(Error::invalid("m", "bitmap length must fit in 32 bits"));
+    }
+    Ok(())
 }
 
 impl CardinalityEstimator for Bitmap {
@@ -307,14 +323,7 @@ mod snapshot_impl {
         fn from_json(v: &Json) -> Result<Self, JsonError> {
             let scheme = HashScheme::from_json(v.field("scheme")?)?;
             let bits = BitVec::from_json(v.field("bits")?)?;
-            // Re-validate parameters through the constructor, then
-            // install the persisted bits; `ones` is derived state and
-            // is recomputed, never trusted from the wire.
-            let mut bitmap = Bitmap::with_scheme(bits.len(), scheme)
-                .map_err(|e| JsonError::new(e.to_string()))?;
-            bitmap.ones = bits.count_ones();
-            bitmap.bits = bits;
-            Ok(bitmap)
+            Bitmap::from_parts(scheme, bits).map_err(|e| JsonError::new(e.to_string()))
         }
     }
 }

@@ -22,6 +22,15 @@ impl BitVec {
         }
     }
 
+    /// A bit vector of `len` bits over packed `words` (the layout
+    /// [`BitVec::words`] describes). `None` unless there are exactly
+    /// `ceil(len/64)` words and every bit at or above `len` is zero.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Option<Self> {
+        let tail = len % 64;
+        let clean = tail == 0 || words.last().is_none_or(|&w| w >> tail == 0);
+        (words.len() == len.div_ceil(64) && clean).then_some(BitVec { words, len })
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -250,6 +259,31 @@ mod tests {
             assert!(b.get(len - 1));
             assert_eq!(b.count_ones(), 1);
         }
+    }
+
+    #[test]
+    fn from_words_checks_word_count_and_padding() {
+        let mut b = BitVec::new(70);
+        b.set(0);
+        b.set(69);
+        let back = BitVec::from_words(70, b.words().to_vec()).expect("valid words");
+        assert_eq!(back, b);
+        assert!(BitVec::from_words(70, vec![1]).is_none(), "one word short");
+        assert!(
+            BitVec::from_words(70, vec![0, 0, 0]).is_none(),
+            "one word over"
+        );
+        assert!(
+            BitVec::from_words(70, vec![0, 1 << 6]).is_none(),
+            "padding bit 70 set"
+        );
+        assert_eq!(BitVec::from_words(0, Vec::new()), Some(BitVec::new(0)));
+        assert_eq!(
+            BitVec::from_words(128, vec![u64::MAX; 2])
+                .unwrap()
+                .count_ones(),
+            128
+        );
     }
 
     #[test]

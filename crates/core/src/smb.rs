@@ -129,8 +129,14 @@ impl Smb {
     /// block was validated when it was built) and cheap: one `Arc`
     /// clone plus the bitmap allocation, with no S-table to compute.
     pub fn with_params(params: Arc<SmbParams>, scheme: HashScheme) -> Self {
+        let bits = BitVec::new(params.m);
+        Smb::with_bits(params, scheme, bits)
+    }
+
+    /// Round 0 over `bits`, which the caller guarantees hold `m` bits.
+    fn with_bits(params: Arc<SmbParams>, scheme: HashScheme, bits: BitVec) -> Self {
         Smb {
-            bits: BitVec::new(params.m),
+            bits,
             m: params.m,
             t: params.t,
             r: 0,
@@ -143,6 +149,58 @@ impl Smb {
             saturation_emitted: false,
             scratch: Vec::new(),
         }
+    }
+
+    /// An SMB in state `(r, v)` over `bits` — a restored state, on an
+    /// existing (typically shared) parameter block. Checks every
+    /// invariant Algorithm 1 maintains, so no state a recording SMB
+    /// could not reach gets through: `bits` holds `m` bits, `r` is a
+    /// round the block supports, `v < T` outside the final round, and
+    /// the bitmap's popcount is `r·T + v`.
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] naming the violated invariant.
+    pub fn from_parts(
+        params: Arc<SmbParams>,
+        scheme: HashScheme,
+        r: u32,
+        v: usize,
+        bits: BitVec,
+    ) -> Result<Self> {
+        let (m, t) = (params.m, params.t);
+        if bits.len() != m {
+            return Err(Error::invalid(
+                "bits",
+                format!("bit array length {} does not match m = {m}", bits.len()),
+            ));
+        }
+        if r >= params.max_rounds {
+            return Err(Error::invalid(
+                "r",
+                format!("round {r} out of range (max_rounds {})", params.max_rounds),
+            ));
+        }
+        // Outside a saturating final round, v must sit below T.
+        if r + 1 < params.max_rounds && v >= t {
+            return Err(Error::invalid(
+                "v",
+                format!("fresh-ones {v} must be below threshold {t} in round {r}"),
+            ));
+        }
+        // The structural invariant of Algorithm 1: total physical ones
+        // equal r·T + v (r·T ≤ m here; a final-round v may be anything).
+        let ones = bits.count_ones();
+        if (r as usize * t).checked_add(v) != Some(ones) {
+            return Err(Error::invalid(
+                "bits",
+                format!("ones invariant violated: popcount {ones} != r·T + v = {r}·{t} + {v}"),
+            ));
+        }
+        Ok(Smb {
+            r,
+            v,
+            ..Smb::with_bits(params, scheme, bits)
+        })
     }
 
     /// Start building an SMB by memory budget and expected stream size.
@@ -215,6 +273,12 @@ impl Smb {
     #[inline]
     pub fn items_since_last_morph(&self) -> u64 {
         self.items_since_morph
+    }
+
+    /// The `(m, T, S)` block this SMB evaluates against, shared with
+    /// every SMB built on it.
+    pub fn params(&self) -> &Arc<SmbParams> {
+        &self.params
     }
 
     /// Borrow the physical bit array (for diagnostics/tests).
@@ -524,6 +588,11 @@ impl SmbParams {
             max_rounds,
             s_table: build_s_table(m, t, max_rounds),
         })
+    }
+
+    /// The physical bitmap size `m` in bits.
+    pub fn m(&self) -> usize {
+        self.m
     }
 
     /// The morphing threshold `T`.
@@ -1102,7 +1171,9 @@ mod tests {
 
 #[cfg(feature = "snapshot")]
 mod snapshot_impl {
-    use super::{Smb, SmbSnapshot};
+    use std::sync::Arc;
+
+    use super::{Smb, SmbParams, SmbSnapshot};
     use crate::bits::BitVec;
     use smb_devtools::{Json, JsonError, Snapshot};
     use smb_hash::HashScheme;
@@ -1126,41 +1197,11 @@ mod snapshot_impl {
             let r = v.field("r")?.as_u32()?;
             let fresh = v.field("v")?.as_usize()?;
             let bits = BitVec::from_json(v.field("bits")?)?;
-            // The constructor re-validates (m, t) and rebuilds the
-            // derived S-table and round budget.
-            let mut smb = Smb::with_scheme(m, t, scheme)
-                .map_err(|e| JsonError::new(e.to_string()))?;
-            if bits.len() != m {
-                return Err(JsonError::new(format!(
-                    "bit array length {} does not match m = {m}",
-                    bits.len()
-                )));
-            }
-            if r >= smb.max_rounds {
-                return Err(JsonError::new(format!(
-                    "round {r} out of range (max_rounds {})",
-                    smb.max_rounds
-                )));
-            }
-            // Outside a saturating final round, v must sit below T.
-            if r + 1 < smb.max_rounds && fresh >= t {
-                return Err(JsonError::new(format!(
-                    "fresh-ones {fresh} must be below threshold {t} in round {r}"
-                )));
-            }
-            // The structural invariant of Algorithm 1: total physical
-            // ones equal r·T + v.
-            let ones = bits.count_ones();
-            if ones != (r as usize) * t + fresh {
-                return Err(JsonError::new(format!(
-                    "ones invariant violated: popcount {ones} != r·T + v = {}",
-                    (r as usize) * t + fresh
-                )));
-            }
-            smb.bits = bits;
-            smb.r = r;
-            smb.v = fresh;
-            Ok(smb)
+            // The parameter block re-validates (m, t); `from_parts`
+            // checks the state against it.
+            let invalid = |e: crate::Error| JsonError::new(e.to_string());
+            let params = SmbParams::new(m, t).map_err(invalid)?;
+            Smb::from_parts(Arc::new(params), scheme, r, fresh, bits).map_err(invalid)
         }
     }
 

@@ -12,19 +12,17 @@
 //!     ...
 //! ```
 //!
-//! Two shard formats exist, selected by [`CheckpointFormat`]:
-//!
-//! * **v2 (default)** — `shard-%04d.bin`, the compressed binary
-//!   flow-block format of [`smb_sketch::codec`] (varint + zigzag delta
-//!   hash lists, bit-packed bitmaps; see `PROTOCOL.md` §5). Typically
-//!   well under half the JSON byte size.
-//! * **v1** — `shard-%04d.json`, `[flow, state]` pairs as JSON. Every
-//!   epoch written before the v2 format existed is v1, and v1 epochs
-//!   restore forever: the manifest records which format an epoch uses
-//!   (`"format"`, absent meaning v1) and the reader dispatches per
-//!   epoch — both formats decode to the *same* canonical JSON states,
-//!   so the entire restore/validation path below is shared and
-//!   restores are bit-identical across formats.
+//! Shards are written in one format, v2: `shard-%04d.bin`, the
+//! compressed binary flow-block format of [`smb_sketch::codec`]
+//! (varint + zigzag delta hash lists, bit-packed bitmaps; see
+//! `PROTOCOL.md` §5). Typically well under half the JSON byte size.
+//! Every epoch written before v2 existed is v1 — `shard-%04d.json`,
+//! `[flow, state]` pairs as JSON — and v1 epochs restore forever: the
+//! manifest records which format an epoch uses (`"format"`, absent
+//! meaning v1) and the reader dispatches per epoch. Both formats
+//! decode to the same typed cell states ([`CellState`]), which restore
+//! turns straight into cells, so restores are bit-identical across
+//! formats.
 //!
 //! Every file is written atomically (write to a `.tmp` sibling, fsync,
 //! rename into place) and the manifest is written **after** all shard
@@ -39,9 +37,11 @@
 //! [`ShardedFlowEngine::restore`] scans the checkpoint directory and
 //! walks epochs newest-first, accepting the first one that is fully
 //! *consistent*: manifest present, both checksums clean, every shard
-//! file present with the recorded length and CRC, every state
-//! restorable through `smb_factory::restore_estimator` (which re-checks
-//! each estimator's structural invariants). Inconsistent newer epochs
+//! file present with the recorded length and CRC, every shard
+//! decodable. Each state is then rebuilt against the spec — an SMB
+//! through `smb_factory::restore_smb`, on the spec's shared parameter
+//! block, with its structural invariants re-checked. Inconsistent
+//! newer epochs
 //! are skipped — degraded recovery to an older epoch, with the skips
 //! reported in [`RestoreReport::skipped`] and counted in
 //! `engine_restore_skipped_epochs_total`. The loss is bounded by the
@@ -61,73 +61,60 @@ use smb_core::Error;
 use smb_devtools::{Json, Snapshot};
 use smb_factory::{AlgoSpec, DynEstimator};
 use smb_hash::crc32::crc32;
-use smb_sketch::codec::FlowBlockBuilder;
-use smb_sketch::FlowCell;
+use smb_sketch::codec::{CellState, FlowBlockBuilder};
+use smb_sketch::{FlowCell, Tier};
 use smb_telemetry::{
     Counter, FlightEvent, FlightEventKind, FlightRecorder, Gauge, Histogram, Registry,
 };
 
 use crate::engine::ShardTable;
 
-/// Rebuild one flow's cell from its checkpointed state. Tier-tagged
-/// states become unmaterialized small/array cells; anything else goes
+/// Rebuild one flow's cell from its checkpointed state. Hash lists
+/// become unmaterialized small/array cells; SMB and bitmap states
+/// become estimators checked against the spec; a JSON state goes
 /// through [`smb_factory::restore_estimator`] into a full cell — which
 /// also covers pre-tier checkpoints, where every state was a bare
 /// estimator snapshot.
 pub(crate) fn restore_cell(
     spec: AlgoSpec,
-    state: &Json,
+    state: CellState,
 ) -> smb_core::Result<FlowCell<DynEstimator>> {
-    match FlowCell::<DynEstimator>::from_tier_json(state) {
-        Ok(Some(cell)) => Ok(cell),
-        Ok(None) => Ok(FlowCell::from_estimator(smb_factory::restore_estimator(
-            spec, state,
-        )?)),
-        Err(e) => Err(Error::invalid("cell", e.to_string())),
-    }
+    let pending = |tier: Tier, hashes: Vec<u64>| {
+        FlowCell::from_hashes(tier, &hashes)
+            .ok_or_else(|| Error::invalid("cell", format!("{} tier over capacity", tier.name())))
+    };
+    let estimator: DynEstimator = match state {
+        CellState::Small(hashes) => return pending(Tier::Small, hashes),
+        CellState::Array(hashes) => return pending(Tier::Array, hashes),
+        CellState::Smb {
+            scheme,
+            t,
+            r,
+            v,
+            bits,
+        } => Box::new(smb_factory::restore_smb(spec, scheme, t, r, v, bits)?),
+        CellState::Bitmap { scheme, bits } => {
+            Box::new(smb_factory::restore_bitmap(spec, scheme, bits)?)
+        }
+        CellState::Json(state) => smb_factory::restore_estimator(spec, &state)?,
+    };
+    Ok(FlowCell::from_estimator(estimator))
 }
 
 /// File name of the per-epoch commit record.
 const MANIFEST: &str = "MANIFEST.json";
 
-/// Which shard-file format new checkpoints are written in. Restore is
-/// format-agnostic: the manifest records each epoch's format and the
-/// reader dispatches per epoch, so changing this knob never strands an
-/// existing checkpoint history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// `shard-%04d.json` — `[flow, state]` pairs as JSON text. The
-    /// pre-v2 format; diffable, but several times larger on disk.
-    V1Json,
-    /// `shard-%04d.bin` — the compressed binary flow-block format of
-    /// [`smb_sketch::codec`] (specified in `PROTOCOL.md` §5).
-    #[default]
-    V2Binary,
-}
+/// The manifest's `"format"` code for v1 JSON shards (also what an
+/// absent field means: manifests older than v2 carry none).
+const FORMAT_V1: u64 = 1;
+/// The manifest's `"format"` code for v2 flow-block shards — the only
+/// format written.
+const FORMAT_V2: u64 = 2;
 
-impl CheckpointFormat {
-    /// The `"format"` code the manifest records (1 or 2).
-    pub fn code(self) -> u64 {
-        match self {
-            CheckpointFormat::V1Json => 1,
-            CheckpointFormat::V2Binary => 2,
-        }
-    }
-
-    fn from_code(code: u64) -> Result<Self, String> {
-        match code {
-            1 => Ok(CheckpointFormat::V1Json),
-            2 => Ok(CheckpointFormat::V2Binary),
-            other => Err(format!("unknown checkpoint format {other}")),
-        }
-    }
-
-    fn shard_file_name(self, shard: usize) -> String {
-        match self {
-            CheckpointFormat::V1Json => format!("shard-{shard:04}.json"),
-            CheckpointFormat::V2Binary => format!("shard-{shard:04}.bin"),
-        }
-    }
+/// Shard `shard`'s file name in an epoch of format `format`.
+fn shard_file_name(format: u64, shard: usize) -> String {
+    let ext = if format == FORMAT_V1 { "json" } else { "bin" };
+    format!("shard-{shard:04}.{ext}")
 }
 
 /// How a checkpointing engine writes its epochs: where, how often, and
@@ -147,8 +134,6 @@ pub struct CheckpointConfig {
     /// successful checkpoint. At least 2 is recommended so recovery can
     /// fall back across a torn newest epoch.
     pub keep_epochs: usize,
-    /// Shard-file format for *new* epochs (restore reads both).
-    pub format: CheckpointFormat,
 }
 
 impl CheckpointConfig {
@@ -161,7 +146,6 @@ impl CheckpointConfig {
             retries: 3,
             backoff: Duration::from_millis(200),
             keep_epochs: 2,
-            format: CheckpointFormat::default(),
         }
     }
 
@@ -186,12 +170,6 @@ impl CheckpointConfig {
     /// Set how many completed epochs stay on disk.
     pub fn with_keep_epochs(mut self, keep_epochs: usize) -> Self {
         self.keep_epochs = keep_epochs;
-        self
-    }
-
-    /// Set the shard-file format for new epochs.
-    pub fn with_format(mut self, format: CheckpointFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -241,6 +219,9 @@ pub(crate) struct CheckpointMetrics {
     pub failures: Arc<Counter>,
     /// Individual retry attempts after failed checkpoint writes.
     pub retries: Arc<Counter>,
+    /// Nanoseconds each successful restore took, from epoch
+    /// selection through the last inserted cell.
+    pub restore_duration: Arc<Histogram>,
     /// Flows rebuilt by restore.
     pub restored_flows: Arc<Counter>,
     /// Inconsistent epochs skipped during restore.
@@ -273,6 +254,10 @@ impl CheckpointMetrics {
             retries: registry.counter(
                 "engine_checkpoint_retries_total",
                 "Retry attempts after failed checkpoint writes",
+            ),
+            restore_duration: registry.histogram(
+                "engine_restore_duration_ns",
+                "Nanoseconds per successful restore, epoch selection through the last cell",
             ),
             restored_flows: registry
                 .counter("engine_restore_flows_total", "Flows rebuilt by restore"),
@@ -342,10 +327,9 @@ fn sync_dir(path: &Path) -> std::io::Result<()> {
 /// therefore an identical CRC). Each cell serializes its own tier —
 /// unmaterialized cells as a `{"tier", "hashes"}` wrapper, full cells
 /// as the estimator's bare state (byte-identical to pre-tier
-/// checkpoints, so old epochs keep restoring). The v1 shard writer
-/// and [`crate::QueryHandle::snapshot_cells`] read tables through
-/// this; v2 shards and `SNAPSHOT` encode cells directly
-/// ([`push_shard_cells`]).
+/// checkpoints). [`crate::QueryHandle::snapshot_cells`] reads tables
+/// through this; checkpoint shards and `SNAPSHOT` encode cells
+/// directly ([`push_shard_cells`]).
 pub(crate) fn shard_flows(table: &ShardTable) -> smb_core::Result<Vec<(u64, Json)>> {
     let mut flows: Vec<(u64, Json)> = Vec::with_capacity(table.len());
     for (flow, state) in table.snapshot_cells() {
@@ -383,23 +367,6 @@ pub(crate) fn finish_block(block: FlowBlockBuilder) -> smb_core::Result<Vec<u8>>
         .map_err(|e| Error::invalid("snapshot", e.to_string()))
 }
 
-/// Serialize a shard's sorted flows as the v1 JSON document.
-fn encode_v1_shard(shard: usize, flows: Vec<(u64, Json)>) -> Vec<u8> {
-    let json = Json::Obj(vec![
-        ("shard".into(), Json::Int(shard as i128)),
-        (
-            "flows".into(),
-            Json::Arr(
-                flows
-                    .into_iter()
-                    .map(|(flow, state)| Json::Arr(vec![Json::Int(flow as i128), state]))
-                    .collect(),
-            ),
-        ),
-    ]);
-    json.to_string().into_bytes()
-}
-
 /// Write epoch `epoch`: every shard file, then the manifest as the
 /// commit record. Returns the total bytes written. Each shard's table
 /// lock is held only while that shard's cells are read, so ingest
@@ -423,18 +390,10 @@ pub(crate) fn write_checkpoint(
     let mut files: Vec<Json> = Vec::with_capacity(tables.len());
     let mut total = 0u64;
     for (shard, table) in tables.iter().enumerate() {
-        let bytes = match config.format {
-            CheckpointFormat::V1Json => {
-                let flows = shard_flows(&table.lock().expect("shard table lock"))?;
-                encode_v1_shard(shard, flows)
-            }
-            CheckpointFormat::V2Binary => {
-                let mut block = FlowBlockBuilder::default();
-                push_shard_cells(&mut block, &table.lock().expect("shard table lock"))?;
-                finish_block(block)?
-            }
-        };
-        let name = config.format.shard_file_name(shard);
+        let mut block = FlowBlockBuilder::default();
+        push_shard_cells(&mut block, &table.lock().expect("shard table lock"))?;
+        let bytes = finish_block(block)?;
+        let name = shard_file_name(FORMAT_V2, shard);
         write_atomic(&edir.join(&name), &bytes)?;
         files.push(Json::Obj(vec![
             ("name".into(), Json::Str(name)),
@@ -445,7 +404,7 @@ pub(crate) fn write_checkpoint(
     }
     let body = Json::Obj(vec![
         ("epoch".into(), Json::Int(epoch as i128)),
-        ("format".into(), Json::Int(config.format.code() as i128)),
+        ("format".into(), Json::Int(FORMAT_V2 as i128)),
         ("spec".into(), spec.to_json()),
         ("shards".into(), Json::Int(tables.len() as i128)),
         ("files".into(), Json::Arr(files)),
@@ -487,7 +446,7 @@ pub(crate) struct LoadedEpoch {
     pub spec: AlgoSpec,
     pub shards: usize,
     /// Every `(flow, state)` pair across all shard files.
-    pub flows: Vec<(u64, Json)>,
+    pub flows: Vec<(u64, CellState)>,
 }
 
 /// Validate and load one epoch. `Err` carries the human-readable
@@ -521,11 +480,14 @@ fn load_epoch(dir: &Path, epoch: u64) -> Result<LoadedEpoch, String> {
     }
     // Pre-v2 manifests carry no `format` field; absent means v1 JSON.
     let format = match body.field("format") {
-        Ok(v) => CheckpointFormat::from_code(
-            v.as_u64().map_err(|e| format!("manifest format field: {e}"))?,
-        )?,
-        Err(_) => CheckpointFormat::V1Json,
+        Ok(v) => v
+            .as_u64()
+            .map_err(|e| format!("manifest format field: {e}"))?,
+        Err(_) => FORMAT_V1,
     };
+    if format != FORMAT_V1 && format != FORMAT_V2 {
+        return Err(format!("unknown checkpoint format {format}"));
+    }
     let spec = AlgoSpec::from_json(body.field("spec").map_err(|e| e.to_string())?)
         .map_err(|e| format!("manifest spec invalid: {e}"))?;
     let shards = body
@@ -541,13 +503,13 @@ fn load_epoch(dir: &Path, epoch: u64) -> Result<LoadedEpoch, String> {
             files.len()
         ));
     }
-    let mut flows: Vec<(u64, Json)> = Vec::new();
+    let mut flows: Vec<(u64, CellState)> = Vec::new();
     for (shard, entry) in files.iter().enumerate() {
         let name = entry
             .field("name")
             .and_then(|v| v.as_str().map(str::to_owned))
             .map_err(|e| format!("file entry {shard}: {e}"))?;
-        if name != format.shard_file_name(shard) {
+        if name != shard_file_name(format, shard) {
             return Err(format!("file entry {shard} names `{name}`"));
         }
         let want_crc = entry
@@ -569,41 +531,43 @@ fn load_epoch(dir: &Path, epoch: u64) -> Result<LoadedEpoch, String> {
         if crc32(&bytes) as u64 != want_crc {
             return Err(format!("{name} checksum mismatch — shard file corrupted"));
         }
-        match format {
-            CheckpointFormat::V1Json => {
-                let text =
-                    String::from_utf8(bytes).map_err(|_| format!("{name} is not UTF-8"))?;
-                let json =
-                    Json::parse(&text).map_err(|e| format!("{name} does not parse: {e}"))?;
-                let Json::Arr(pairs) = json
-                    .field("flows")
-                    .map_err(|e| format!("{name} flows field: {e}"))?
-                else {
-                    return Err(format!("{name} flows field is not an array"));
-                };
-                for pair in pairs {
-                    let Json::Arr(kv) = pair else {
-                        return Err(format!("{name} holds a non-pair flow entry"));
-                    };
-                    let [flow, state] = kv.as_slice() else {
-                        return Err(format!("{name} holds a malformed flow pair"));
-                    };
-                    let flow =
-                        flow.as_u64().map_err(|e| format!("{name} flow key: {e}"))?;
-                    flows.push((flow, state.clone()));
-                }
-            }
-            CheckpointFormat::V2Binary => {
-                // The binary decoder rebuilds the same canonical JSON
-                // states the v1 reader parses — everything downstream
-                // (spec validation, estimator restore) is shared.
-                let decoded = smb_sketch::codec::decode_flow_block(&bytes)
-                    .map_err(|e| format!("{name} does not decode: {e}"))?;
-                flows.extend(decoded);
-            }
+        if format == FORMAT_V2 {
+            let decoded = smb_sketch::codec::decode_flow_states(&bytes)
+                .map_err(|e| format!("{name} does not decode: {e}"))?;
+            flows.extend(decoded);
+        } else {
+            read_v1_shard(&name, bytes, &mut flows)?;
         }
     }
     Ok(LoadedEpoch { spec, shards, flows })
+}
+
+/// Append a v1 shard's `[flow, state]` pairs to `flows`, each state
+/// read into its typed form ([`CellState::from_json`]).
+fn read_v1_shard(
+    name: &str,
+    bytes: Vec<u8>,
+    flows: &mut Vec<(u64, CellState)>,
+) -> Result<(), String> {
+    let text = String::from_utf8(bytes).map_err(|_| format!("{name} is not UTF-8"))?;
+    let json = Json::parse(&text).map_err(|e| format!("{name} does not parse: {e}"))?;
+    let Json::Obj(fields) = json else {
+        return Err(format!("{name} is not a JSON object"));
+    };
+    let Some((_, Json::Arr(pairs))) = fields.into_iter().find(|(key, _)| key == "flows") else {
+        return Err(format!("{name} has no flows array"));
+    };
+    for pair in pairs {
+        let Json::Arr(kv) = pair else {
+            return Err(format!("{name} holds a non-pair flow entry"));
+        };
+        let Ok([flow, state]) = <[Json; 2]>::try_from(kv) else {
+            return Err(format!("{name} holds a malformed flow pair"));
+        };
+        let flow = flow.as_u64().map_err(|e| format!("{name} flow key: {e}"))?;
+        flows.push((flow, CellState::from_json(state)));
+    }
+    Ok(())
 }
 
 /// Walk epochs newest-first and return the first consistent one, plus

@@ -1211,9 +1211,10 @@ impl ShardedFlowEngine {
     /// [`smb_core::Error::NoConsistentCheckpoint`] when no epoch
     /// passes validation.
     pub fn restore(dir: impl AsRef<Path>) -> smb_core::Result<(Self, RestoreReport)> {
+        let start = Instant::now();
         let (loaded, report) = select_epoch(dir.as_ref())?;
         let config = EngineConfig::new(loaded.spec);
-        Self::restore_internal(config, loaded, report)
+        Self::restore_internal(config, loaded, report, start)
     }
 
     /// [`ShardedFlowEngine::restore`] with an explicit engine
@@ -1225,6 +1226,7 @@ impl ShardedFlowEngine {
         config: EngineConfig,
         dir: impl AsRef<Path>,
     ) -> smb_core::Result<(Self, RestoreReport)> {
+        let start = Instant::now();
         let (loaded, report) = select_epoch(dir.as_ref())?;
         if config.spec != loaded.spec {
             return Err(smb_core::Error::invalid(
@@ -1235,13 +1237,16 @@ impl ShardedFlowEngine {
                 ),
             ));
         }
-        Self::restore_internal(config, loaded, report)
+        Self::restore_internal(config, loaded, report, start)
     }
 
+    /// Rebuild `loaded` into a fresh engine. `start` is when epoch
+    /// selection began: the restore-duration sample covers it.
     fn restore_internal(
         config: EngineConfig,
         loaded: LoadedEpoch,
         mut report: RestoreReport,
+        start: Instant,
     ) -> smb_core::Result<(Self, RestoreReport)> {
         let engine = Self::new(config)?;
         // Reattach the engine's own observer bundle (batched metrics +
@@ -1256,19 +1261,23 @@ impl ShardedFlowEngine {
             .map(|t| t.handle.clone())
             .expect("Self::new always builds the telemetry bundle");
         let mut flows = 0u64;
-        for (flow, state) in &loaded.flows {
+        for (flow, state) in loaded.flows {
             let mut cell = crate::durability::restore_cell(config.spec, state)?;
             if let Some(estimator) = cell.estimator_mut() {
                 estimator.set_observer(Some(observer.clone()));
             }
-            let shard = engine.shard_of(*flow);
+            let shard = engine.shard_of(flow);
             engine.shards[shard]
                 .table
                 .lock()
                 .expect("shard table lock")
-                .insert_cell(*flow, cell);
+                .insert_cell(flow, cell);
             flows += 1;
         }
+        engine
+            .checkpoint_metrics
+            .restore_duration
+            .record(duration_ns(start.elapsed()));
         report.flows = flows;
         engine.checkpoint_metrics.restored_flows.add(flows);
         engine
@@ -2736,11 +2745,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("smb-v2-identity-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = CheckpointConfig::new(&dir);
-        assert_eq!(config.format, crate::CheckpointFormat::V2Binary);
         let epoch = engine.checkpoint_now(&config).unwrap();
         let edir = dir.join(format!("epoch-{epoch:010}"));
         let manifest = std::fs::read_to_string(edir.join("MANIFEST.json")).unwrap();
         let manifest = Json::parse(&manifest).unwrap();
+        let format = manifest.field("body").unwrap().field("format").unwrap();
+        assert_eq!(format.as_u64().unwrap(), 2, "checkpoints are written as v2");
         let Json::Arr(files) = manifest.field("body").unwrap().field("files").unwrap() else {
             panic!("manifest files is not an array");
         };

@@ -50,7 +50,7 @@ mod durability;
 mod engine;
 mod stats;
 
-pub use durability::{CheckpointConfig, CheckpointFormat, RestoreReport};
+pub use durability::{CheckpointConfig, RestoreReport};
 pub use engine::{
     record_batch_grouped, BackpressurePolicy, EngineConfig, EngineProducer, EngineQuery,
     EstimatorFactory, GroupScratch, QueryHandle, QueryReport, ShardTable, ShardedFlowEngine,

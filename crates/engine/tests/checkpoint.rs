@@ -10,7 +10,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use smb_engine::{CheckpointConfig, CheckpointFormat, EngineConfig, ShardedFlowEngine};
+use smb_engine::{CheckpointConfig, EngineConfig, ShardedFlowEngine};
 use smb_factory::{Algo, AlgoSpec};
 
 fn spec() -> AlgoSpec {
@@ -353,59 +353,68 @@ fn mixed_tier_checkpoint_repartitions_across_shard_counts() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The same engine state checkpointed in both shard formats restores
-/// bit-identically from either: per-flow estimate bits, tier census,
-/// and continued ingest all agree. This is the cross-format guarantee
-/// the codec's "lossless JSON transcoder" design buys.
-#[test]
-fn v1_and_v2_checkpoints_cross_restore_bit_identically() {
-    let dir_v1 = scratch("fmt-v1");
-    let dir_v2 = scratch("fmt-v2");
-    let mut original = engine(2);
-    ingest_tier_mix(&mut original);
-    // The engine's epoch counter is shared across target directories,
-    // so capture each checkpoint's epoch number.
-    let e1 = original
-        .checkpoint_now(&config(&dir_v1).with_format(CheckpointFormat::V1Json))
-        .expect("v1 checkpoint");
-    let e2 = original
-        .checkpoint_now(&config(&dir_v2).with_format(CheckpointFormat::V2Binary))
-        .expect("v2 checkpoint");
-    let want = estimate_bits(&original);
+/// Golden epochs of `engine(2)` after `ingest_tier_mix`, one per shard
+/// format: v1 JSON shards and v2 flow blocks. They were written by the
+/// last version of the engine that still wrote v1, so they pin what
+/// restore must keep reading.
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
 
-    // The formats write what they claim: v1 JSON shards, v2 binary
-    // shards with the flow-block magic, and the v2 epoch is smaller.
-    let v1_shard =
-        fs::read(dir_v1.join(format!("epoch-{e1:010}/shard-0000.json"))).unwrap();
-    let v2_shard =
-        fs::read(dir_v2.join(format!("epoch-{e2:010}/shard-0000.bin"))).unwrap();
-    assert_eq!(v1_shard.first(), Some(&b'{'));
-    assert_eq!(&v2_shard[..4], b"SMB2");
-    let epoch_bytes = |dir: &Path, epoch: u64| -> u64 {
-        fs::read_dir(dir.join(format!("epoch-{epoch:010}")))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum()
-    };
+/// Total bytes of an epoch directory's shard files.
+fn shard_bytes(epoch_dir: &Path) -> u64 {
+    fs::read_dir(epoch_dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
+        .map(|e| e.metadata().unwrap().len())
+        .sum()
+}
+
+/// Both golden checkpoints restore bit-identically to a fresh engine fed
+/// the same items — estimates, tier census, and continued ingest —
+/// and a v2 epoch torn on top of the v1 one degrades restore across
+/// formats onto it.
+#[test]
+fn golden_v1_and_v2_checkpoints_restore_bit_identically() {
+    let mut fresh = engine(2);
+    ingest_tier_mix(&mut fresh);
+    let want = estimate_bits(&fresh);
+
+    let v1_epoch = fixture("tier_mix_v1").join("epoch-0000000000");
+    let v2_epoch = fixture("tier_mix_v2").join("epoch-0000000000");
+    assert_eq!(
+        fs::read(v1_epoch.join("shard-0000.json")).unwrap().first(),
+        Some(&b'{')
+    );
+    assert_eq!(
+        &fs::read(v2_epoch.join("shard-0000.bin")).unwrap()[..4],
+        b"SMB2"
+    );
     assert!(
-        epoch_bytes(&dir_v2, e2) * 2 <= epoch_bytes(&dir_v1, e1),
+        shard_bytes(&v2_epoch) * 2 <= shard_bytes(&v1_epoch),
         "v2 shards ({} B) should be at most half the v1 shards ({} B)",
-        epoch_bytes(&dir_v2, e2),
-        epoch_bytes(&dir_v1, e1)
+        shard_bytes(&v2_epoch),
+        shard_bytes(&v1_epoch)
     );
 
-    let (mut from_v1, r1) = ShardedFlowEngine::restore(&dir_v1).expect("restore v1");
-    let (mut from_v2, r2) = ShardedFlowEngine::restore(&dir_v2).expect("restore v2");
-    assert_eq!(r1.flows, r2.flows);
-    assert_eq!(estimate_bits(&from_v1), want, "v1 restore bit-identical");
-    assert_eq!(estimate_bits(&from_v2), want, "v2 restore bit-identical");
-    assert_eq!(tier_census(&from_v1), tier_census(&from_v2));
+    let (mut from_v1, r1) = ShardedFlowEngine::restore(fixture("tier_mix_v1")).expect("v1");
+    let (mut from_v2, r2) = ShardedFlowEngine::restore(fixture("tier_mix_v2")).expect("v2");
+    for (report, restored) in [(&r1, &from_v1), (&r2, &from_v2)] {
+        assert_eq!(
+            (report.epoch, report.flows, report.checkpoint_shards),
+            (0, 90, 2)
+        );
+        assert!(report.skipped.is_empty());
+        assert_eq!(estimate_bits(restored), want, "restore bit-identical");
+        assert_eq!(tier_census(restored), (60, 20, 10));
+    }
 
-    // Both restored engines keep tracking the original exactly across
+    // Both restored engines keep tracking the fresh one exactly across
     // future promotions and morphs.
-    for target in [&mut original, &mut from_v1, &mut from_v2] {
+    for target in [&mut fresh, &mut from_v1, &mut from_v2] {
         for f in 0..90u64 {
             for i in 0..40u32 {
                 target.ingest(f, &(500_000 + f as u32 * 100 + i).to_le_bytes());
@@ -413,10 +422,148 @@ fn v1_and_v2_checkpoints_cross_restore_bit_identically() {
         }
         target.flush();
     }
-    assert_eq!(estimate_bits(&from_v1), estimate_bits(&original));
-    assert_eq!(estimate_bits(&from_v2), estimate_bits(&original));
-    let _ = fs::remove_dir_all(&dir_v1);
-    let _ = fs::remove_dir_all(&dir_v2);
+    assert_eq!(estimate_bits(&from_v1), estimate_bits(&fresh));
+    assert_eq!(estimate_bits(&from_v2), estimate_bits(&fresh));
+    assert_eq!(tier_census(&from_v1), tier_census(&fresh));
+    assert_eq!(tier_census(&from_v2), tier_census(&fresh));
+
+    // Cross-format fallback: the v1 fixture as epoch 0, a v2 epoch 1
+    // written by an engine restored from it (and fed more), then epoch
+    // 1 torn — restore must land on epoch 0, bit-identically.
+    let dir = scratch("golden-fallback");
+    let epoch0 = dir.join("epoch-0000000000");
+    fs::create_dir_all(&epoch0).unwrap();
+    for file in fs::read_dir(&v1_epoch).unwrap() {
+        let file = file.unwrap();
+        fs::copy(file.path(), epoch0.join(file.file_name())).unwrap();
+    }
+    let (mut continued, _) = ShardedFlowEngine::restore(&dir).expect("restore epoch 0");
+    ingest_range(&mut continued, 90, 0, 5_000);
+    assert_eq!(continued.checkpoint_now(&config(&dir)).expect("epoch 1"), 1);
+    let victim = dir.join("epoch-0000000001").join("shard-0001.bin");
+    let bytes = fs::read(&victim).expect("epoch 1 is written as v2");
+    fs::write(&victim, &bytes[..16]).unwrap();
+    let (fallback, report) = ShardedFlowEngine::restore(&dir).expect("degrade to epoch 0");
+    assert_eq!(report.epoch, 0);
+    assert_eq!(report.skipped.len(), 1);
+    assert!(
+        report.skipped[0].1.contains("torn"),
+        "{}",
+        report.skipped[0].1
+    );
+    assert_eq!(estimate_bits(&fallback), want);
+    assert_eq!(tier_census(&fallback), (60, 20, 10));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Restore builds every SMB on the spec's one shared parameter block,
+/// and a restored engine re-encodes exactly the SNAPSHOT the original
+/// gave before its checkpoint.
+#[test]
+fn typed_restore_shares_spec_params_and_resnapshots_byte_identically() {
+    use smb_sketch::codec::{decode_flow_states, CellState};
+    use std::sync::Arc;
+
+    let dir = scratch("typed-restore");
+    let mut original = engine(2);
+    ingest_tier_mix(&mut original);
+    ingest_range(&mut original, 4, 0, 20_000);
+    original.flush();
+    let before = original.query_handle().snapshot_block().expect("snapshot");
+    let epoch = original.checkpoint_now(&config(&dir)).expect("checkpoint");
+
+    let (restored, _) = ShardedFlowEngine::restore(&dir).expect("restore");
+    assert_eq!(
+        restored
+            .query_handle()
+            .snapshot_block()
+            .expect("re-snapshot"),
+        before,
+        "re-SNAPSHOT after restore must be byte-identical"
+    );
+
+    // Every full SMB cell in the shards restores onto the spec's block.
+    let params = spec().smb_params().expect("SMB spec");
+    let mut smbs = 0;
+    for shard in 0..2 {
+        let name = format!("epoch-{epoch:010}/shard-{shard:04}.bin");
+        let states = decode_flow_states(&fs::read(dir.join(name)).unwrap()).unwrap();
+        for (_, state) in states {
+            if let CellState::Smb {
+                scheme,
+                t,
+                r,
+                v,
+                bits,
+            } = state
+            {
+                let smb = smb_factory::restore_smb(spec(), scheme, t, r, v, bits).unwrap();
+                assert!(Arc::ptr_eq(smb.params(), &params));
+                smbs += 1;
+            }
+        }
+    }
+    assert_eq!(smbs, tier_census(&restored).2, "every full cell is an SMB");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A shard whose SMB cell breaks the spec's parameters is refused on
+/// the typed path: restore reports the cell, not a silent rebuild.
+#[test]
+fn typed_restore_rejects_a_cell_that_disagrees_with_the_spec() {
+    use smb_hash::crc32::crc32;
+    use smb_sketch::codec::{decode_flow_states, CellState, FlowBlockBuilder};
+
+    let dir = scratch("typed-reject");
+    let mut original = engine(1);
+    ingest_range(&mut original, 1, 0, 5_000);
+    original.checkpoint_now(&config(&dir)).expect("checkpoint");
+    let edir = dir.join("epoch-0000000000");
+    let shard = edir.join("shard-0000.bin");
+    let mut states = decode_flow_states(&fs::read(&shard).unwrap()).unwrap();
+    let Some((_, CellState::Smb { t, .. })) = states.first_mut() else {
+        panic!("one hot flow must have materialized an SMB");
+    };
+    *t += 1;
+    let mut block = FlowBlockBuilder::default();
+    for (flow, state) in states {
+        block.push_state(flow, &state.into_json());
+    }
+    let forged = block.finish().unwrap();
+    // Re-seal the shard so it passes the epoch's consistency checks.
+    let manifest = fs::read_to_string(edir.join("MANIFEST.json")).unwrap();
+    let old = fs::read(&shard).unwrap();
+    let manifest = reseal(
+        &manifest,
+        crc32(&old),
+        old.len(),
+        crc32(&forged),
+        forged.len(),
+    );
+    fs::write(&shard, &forged).unwrap();
+    fs::write(edir.join("MANIFEST.json"), manifest).unwrap();
+
+    let err = ShardedFlowEngine::restore(&dir).expect_err("T disagrees with the spec");
+    assert!(err.to_string().contains("T = "), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `manifest` with one shard's CRC and length replaced, and its own
+/// body CRC recomputed.
+fn reseal(manifest: &str, old_crc: u32, old_len: usize, crc: u32, len: usize) -> String {
+    use smb_devtools::Json;
+    use smb_hash::crc32::crc32;
+
+    let body = Json::parse(manifest)
+        .unwrap()
+        .field("body")
+        .unwrap()
+        .to_string();
+    let body = body.replace(
+        &format!("\"crc32\":{old_crc},\"bytes\":{old_len}"),
+        &format!("\"crc32\":{crc},\"bytes\":{len}"),
+    );
+    format!("{{\"crc32\":{},\"body\":{body}}}", crc32(body.as_bytes()))
 }
 
 #[test]
@@ -541,6 +688,13 @@ fn durability_metrics_track_checkpoint_and_restore() {
 
     let (restored, report) = ShardedFlowEngine::restore(&dir).expect("restore");
     let snap = restored.metrics_snapshot();
+    let restore_ns = snap
+        .get("engine_restore_duration_ns", &[])
+        .unwrap()
+        .as_histogram()
+        .unwrap();
+    assert_eq!(restore_ns.count, 1, "one sample per successful restore");
+    assert!(restore_ns.sum > 0);
     assert_eq!(
         snap.get("engine_restore_flows_total", &[])
             .unwrap()

@@ -1,20 +1,25 @@
 //! Snapshot support for the factory layer (behind the `snapshot`
 //! feature): serializing an [`AlgoSpec`] and — the restore half of the
-//! engine's durability story — rebuilding a live estimator from the
-//! JSON state that [`CardinalityEstimator::snapshot_state`] captured.
+//! engine's durability story — rebuilding a live estimator from a
+//! checkpointed state.
 //!
-//! `snapshot_state` is object-safe and therefore cannot name a concrete
-//! type; this module holds the matching concrete-type dispatch. The
-//! spec says *which* type to expect, the JSON says *what state* it was
-//! in, and [`restore_estimator`] marries the two with validation on
-//! both axes (each `Snapshot::from_json` re-checks its structural
-//! invariants; this layer re-checks the spec ↔ state agreement).
+//! The spec says *which* type to expect, the state says *what state*
+//! it was in, and the restore functions marry the two with validation
+//! on both axes: the estimator type re-checks its structural
+//! invariants, and this layer checks that state and spec agree.
+//! [`restore_smb`] and [`restore_bitmap`] take the typed states the
+//! checkpoint codec decodes; an SMB comes back on the spec's shared
+//! parameter block. [`restore_estimator`] takes the JSON state
+//! [`CardinalityEstimator::snapshot_state`] captured, for every other
+//! estimator: `snapshot_state` is object-safe and cannot name a
+//! concrete type, so this is the matching concrete-type dispatch.
 
 use smb_baselines::{
     Bjkst, Fm, Hll, HllPlusPlus, HllTailCut, Kmv, LogLog, MinCount, Mrb, SuperLogLog,
 };
-use smb_core::{Bitmap, CardinalityEstimator, Error, Result, Smb};
+use smb_core::{BitVec, Bitmap, CardinalityEstimator, Error, Result, Smb};
 use smb_devtools::{Json, JsonError, Snapshot};
+use smb_hash::HashScheme;
 
 use crate::{build_estimator, Algo, AlgoSpec, DynEstimator};
 
@@ -89,33 +94,116 @@ pub fn restore_estimator(spec: AlgoSpec, state: &Json) -> Result<DynEstimator> {
         Algo::MinCount => Box::new(MinCount::from_json(state).map_err(invalid)?),
         Algo::Bitmap => Box::new(Bitmap::from_json(state).map_err(invalid)?),
     };
-    if restored.scheme() != spec.scheme() {
-        return Err(Error::invalid(
-            "snapshot",
-            format!(
-                "restored {} state hashes under a different scheme than the spec (seed {})",
-                spec.algo.name(),
-                spec.seed
-            ),
-        ));
-    }
+    check_scheme(spec, restored.scheme())?;
     let expected_bits = build_estimator(spec)?.memory_bits();
-    if restored.memory_bits() != expected_bits {
-        return Err(Error::invalid(
-            "snapshot",
-            format!(
-                "restored {} state occupies {} bits but the spec builds {} bits",
-                spec.algo.name(),
-                restored.memory_bits(),
-                expected_bits
-            ),
-        ));
+    let bits = restored.memory_bits();
+    if bits != expected_bits {
+        let name = spec.algo.name();
+        return Err(mismatch(format!(
+            "restored {name} state occupies {bits} bits but the spec builds {expected_bits} bits"
+        )));
     }
     Ok(restored)
 }
 
+/// Rebuild an SMB from its checkpointed state — threshold `t`, round
+/// `r`, fresh bits `v` and the `m`-bit bitmap — on the spec's shared
+/// parameter block ([`AlgoSpec::smb_params`]), so every restored SMB
+/// of one spec shares one S-table.
+///
+/// The state must agree with the spec: an SMB spec, the spec's hash
+/// scheme, and the spec's `m` and `T`. [`Smb::from_parts`] then checks
+/// the state is one Algorithm 1 can reach.
+///
+/// ```
+/// use smb_core::{CardinalityEstimator, Smb};
+/// use smb_factory::{restore_smb, Algo, AlgoSpec};
+///
+/// let spec = AlgoSpec::new(Algo::Smb).memory_bits(4096).seed(7);
+/// let params = spec.smb_params().unwrap();
+/// let mut live = Smb::with_params(params.clone(), spec.scheme());
+/// for i in 0..5_000u32 {
+///     live.record(&i.to_le_bytes());
+/// }
+/// let (t, r, v) = (params.threshold() as u64, live.round().into(), live.fresh_ones() as u64);
+/// let restored = restore_smb(spec, spec.scheme(), t, r, v, live.as_bits().clone()).unwrap();
+/// assert_eq!(restored.estimate(), live.estimate());
+/// assert!(std::sync::Arc::ptr_eq(restored.params(), &params));
+/// assert!(restore_smb(spec.seed(8), spec.scheme(), t, r, v, live.as_bits().clone()).is_err());
+/// ```
+///
+/// # Errors
+/// [`Error::InvalidParameter`] when the state disagrees with the spec
+/// or fails an SMB invariant.
+pub fn restore_smb(
+    spec: AlgoSpec,
+    scheme: HashScheme,
+    t: u64,
+    r: u64,
+    v: u64,
+    bits: BitVec,
+) -> Result<Smb> {
+    let name = spec.algo.name();
+    let params = spec
+        .smb_params()
+        .ok_or_else(|| mismatch(format!("an SMB state cannot restore into a {name} spec")))?;
+    check_scheme(spec, scheme)?;
+    let (m, spec_t, got) = (params.m(), params.threshold(), bits.len());
+    if got != m || t != spec_t as u64 {
+        return Err(mismatch(format!(
+            "SMB state has m = {got}, T = {t}, but the spec's SMB has m = {m}, T = {spec_t}"
+        )));
+    }
+    let (Ok(r), Ok(v)) = (u32::try_from(r), usize::try_from(v)) else {
+        return Err(mismatch(format!(
+            "SMB round {r} or fresh-bit count {v} out of range"
+        )));
+    };
+    Smb::from_parts(params, scheme, r, v, bits)
+}
+
+/// Rebuild a plain bitmap from its checkpointed bits. The spec must be
+/// a bitmap spec with the same hash scheme and `m` bits.
+///
+/// # Errors
+/// [`Error::InvalidParameter`] when the state disagrees with the spec.
+pub fn restore_bitmap(spec: AlgoSpec, scheme: HashScheme, bits: BitVec) -> Result<Bitmap> {
+    let (name, got, m) = (spec.algo.name(), bits.len(), spec.memory_bits);
+    if spec.algo != Algo::Bitmap {
+        return Err(mismatch(format!(
+            "a bitmap state cannot restore into a {name} spec"
+        )));
+    }
+    check_scheme(spec, scheme)?;
+    if got != m {
+        return Err(mismatch(format!(
+            "bitmap state holds {got} bits but the spec builds {m} bits"
+        )));
+    }
+    Bitmap::from_parts(scheme, bits)
+}
+
+/// A restored state must hash under the spec's scheme.
+fn check_scheme(spec: AlgoSpec, scheme: HashScheme) -> Result<()> {
+    if scheme == spec.scheme() {
+        return Ok(());
+    }
+    let (name, seed) = (spec.algo.name(), spec.seed);
+    Err(mismatch(format!(
+        "restored {name} state hashes under a different scheme than the spec (seed {seed})"
+    )))
+}
+
+/// The error for a state that does not fit the spec it is restored
+/// into.
+fn mismatch(reason: String) -> Error {
+    Error::invalid("snapshot", reason)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::ALL_ALGOS;
 
@@ -174,6 +262,133 @@ mod tests {
         let state = spec.build().unwrap().snapshot_state().unwrap();
         let wrong = AlgoSpec::new(Algo::Bitmap).memory_bits(8192);
         assert!(restore_estimator(wrong, &state).is_err());
+    }
+
+    /// A live SMB from `spec` after `n` distinct items, as the typed
+    /// state a checkpoint decodes to: `(scheme, T, r, v, bits)`.
+    fn smb_state(spec: AlgoSpec, n: u32) -> (HashScheme, u64, u64, u64, BitVec) {
+        let params = spec.smb_params().unwrap();
+        let mut smb = Smb::with_params(Arc::clone(&params), spec.scheme());
+        for i in 0..n {
+            smb.record(&i.to_le_bytes());
+        }
+        let t = params.threshold() as u64;
+        (
+            spec.scheme(),
+            t,
+            smb.round().into(),
+            smb.fresh_ones() as u64,
+            smb.as_bits().clone(),
+        )
+    }
+
+    #[test]
+    fn typed_smb_restores_on_the_spec_block_bit_identically() {
+        let spec = AlgoSpec::new(Algo::Smb)
+            .memory_bits(4096)
+            .n_max(1e6)
+            .seed(3);
+        let params = spec.smb_params().unwrap();
+        for n in [0u32, 10, 5_000, 200_000] {
+            let (scheme, t, r, v, bits) = smb_state(spec, n);
+            let mut live = Smb::with_params(Arc::clone(&params), scheme);
+            for i in 0..n {
+                live.record(&i.to_le_bytes());
+            }
+            let restored = restore_smb(spec, scheme, t, r, v, bits).expect("valid state");
+            assert!(Arc::ptr_eq(restored.params(), &params), "{n}: shared block");
+            assert_eq!(
+                restored.estimate().to_bits(),
+                live.estimate().to_bits(),
+                "{n}"
+            );
+            assert_eq!(restored.as_bits(), live.as_bits());
+        }
+    }
+
+    /// Every spec-agreement rule and every SMB invariant refuses a
+    /// typed state on its own.
+    #[test]
+    fn typed_smb_rejects_each_broken_rule() {
+        let spec = AlgoSpec::new(Algo::Smb)
+            .memory_bits(2048)
+            .n_max(1e5)
+            .seed(3);
+        let params = spec.smb_params().unwrap();
+        let max_r = u64::from(params.max_rounds());
+        let (scheme, t, r, v, bits) = smb_state(spec, 3_000);
+        assert!(
+            r >= 1 && r + 1 < max_r && v >= 1,
+            "mid-life state: r {r}, v {v}"
+        );
+        assert!(restore_smb(spec, scheme, t, r, v, bits.clone()).is_ok());
+
+        // Each case breaks exactly one rule (the others hold), and the
+        // error names it.
+        let rejects = |want: &str, spec: AlgoSpec, scheme, t, r, v, bits: BitVec| {
+            let err = restore_smb(spec, scheme, t, r, v, bits)
+                .expect_err(want)
+                .to_string();
+            assert!(err.contains(want), "expected `{want}` in: {err}");
+        };
+        let first_ones = |len: usize, count: u64| {
+            let mut bits = BitVec::new(len);
+            bits.set_all(0..count as usize);
+            bits
+        };
+        let m = bits.len();
+        let mut wider = BitVec::new(m + 64);
+        wider.set_all(bits.iter_ones());
+        rejects("m = 2112", spec, scheme, t, r, v, wider);
+        rejects("T = ", spec, scheme, t + 1, r, v, bits.clone());
+        let full = first_ones(m, max_r * t);
+        rejects("round", spec, scheme, t, max_r, 0, full.clone());
+        rejects("round", spec, scheme, t, 1 << 40, 0, full);
+        rejects(
+            "below threshold",
+            spec,
+            scheme,
+            t,
+            r,
+            t,
+            first_ones(m, (r + 1) * t),
+        );
+        rejects("popcount", spec, scheme, t, r, v - 1, bits.clone());
+        rejects(
+            "popcount",
+            spec,
+            scheme,
+            t,
+            r,
+            v,
+            first_ones(m, r * t + v + 1),
+        );
+        rejects(
+            "scheme",
+            spec,
+            HashScheme::with_seed(4),
+            t,
+            r,
+            v,
+            bits.clone(),
+        );
+        let other_alg = HashScheme::new(smb_hash::HashAlgorithm::Fnv1aMixed, 3);
+        rejects("scheme", spec, other_alg, t, r, v, bits.clone());
+        let hll = AlgoSpec::new(Algo::Hll).memory_bits(2048).seed(3);
+        rejects("cannot restore into a HLL", hll, scheme, t, r, v, bits);
+    }
+
+    #[test]
+    fn typed_bitmap_checks_spec_and_recounts_ones() {
+        let spec = AlgoSpec::new(Algo::Bitmap).memory_bits(640).seed(5);
+        let mut bits = BitVec::new(640);
+        bits.set_all([1, 64, 639]);
+        let restored = restore_bitmap(spec, spec.scheme(), bits.clone()).unwrap();
+        assert_eq!(restored.ones(), 3);
+        assert!(restore_bitmap(spec, HashScheme::with_seed(6), bits.clone()).is_err());
+        assert!(restore_bitmap(spec.memory_bits(704), spec.scheme(), bits.clone()).is_err());
+        let smb = AlgoSpec::new(Algo::Smb).memory_bits(640).seed(5);
+        assert!(restore_bitmap(smb, spec.scheme(), bits).is_err());
     }
 
     #[test]

@@ -17,14 +17,18 @@
 //!   `ceil(m/64)` little-endian words instead of a decimal index list,
 //!   an 8× (dense) to 30× (sparse-decimal) size cut.
 //!
-//! The bytes are a *lossless encoding of the canonical v1 JSON
-//! state*: [`decode_cell_state`] rebuilds exactly the [`Json`] value
-//! the bytes stand for, so every restore path (estimator `from_json`,
-//! tier rebuild, invariant validation) is shared with the JSON format
-//! and bit-identity holds by construction. States the binary tags
-//! cannot express round-trip through an escape-hatch tag carrying
-//! literal JSON text, so *any* estimator's state survives, just
-//! without the compression win.
+//! One reader interprets the bytes: it decodes each cell into an owned
+//! [`CellState`] — hashes, SMB `(r, v)` plus bitmap words, plain
+//! bitmap words, or JSON — the owned twin of [`PackedState`].
+//! Checkpoint restore builds cells straight from it
+//! ([`decode_flow_states`]). [`decode_cell_state`] and
+//! [`decode_flow_block`] are the JSON view of the same states
+//! ([`CellState::into_json`]): the bytes are a *lossless encoding of
+//! the canonical v1 JSON state*, and the view rebuilds exactly the
+//! [`Json`] value they stand for. States the binary tags cannot
+//! express round-trip through an escape-hatch tag carrying literal
+//! JSON text, so *any* estimator's state survives, just without the
+//! compression win.
 //!
 //! There are two writers of the same bytes. [`encode_cell`] and
 //! [`FlowBlockBuilder::push_cell`] encode a live [`FlowCell`] directly
@@ -33,6 +37,9 @@
 //! checkpoints use. [`encode_cell_state`] and [`encode_flow_block`]
 //! transcode JSON states; they are the reference the direct writer is
 //! tested against, byte for byte, and serve callers that hold JSON.
+//! [`CellState::from_json`] reads JSON states through the same strict
+//! shape matchers the transcoder uses, so a v1 checkpoint's JSON and
+//! its v2 bytes become the same typed state.
 //!
 //! Every decoder is hardened: hostile or truncated input returns
 //! [`CodecError`], never panics, and every length field is validated
@@ -50,10 +57,11 @@
 use std::fmt;
 use std::ops::Range;
 
+use smb_core::BitVec;
 #[cfg(feature = "snapshot")]
 use smb_core::{CardinalityEstimator, PackedState};
-use smb_devtools::Json;
-use smb_hash::HashAlgorithm;
+use smb_devtools::{Json, Snapshot};
+use smb_hash::{HashAlgorithm, HashScheme};
 
 #[cfg(feature = "snapshot")]
 use crate::flow_cell::FlowCell;
@@ -287,33 +295,22 @@ fn write_packed_bits(out: &mut Vec<u8>, len: usize, ones: &[usize]) {
     }
 }
 
-/// Read `ceil(len/64)` packed words back into an ascending ones list.
-/// The byte count is validated against the remaining input before any
+/// Read `ceil(len/64)` packed words as a `len`-bit [`BitVec`]. The
+/// byte count is validated against the remaining input before any
 /// allocation, so a hostile `len` cannot force a huge reservation.
-fn read_packed_bits(r: &mut Reader<'_>, len: usize) -> Result<Vec<usize>, CodecError> {
-    let words = len.div_ceil(64);
-    let bytes = r.take(words * 8)?;
-    let mut ones = Vec::new();
-    for (w, chunk) in bytes.chunks_exact(8).enumerate() {
-        let mut word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        // Bits at or above `len` in the final word are padding and must
-        // be zero — anything else is a forgery the bit-identity
-        // guarantee cannot absorb.
-        if (w + 1) * 64 > len {
-            let valid = len - w * 64;
-            if valid < 64 && word >> valid != 0 {
-                return Err(CodecError::new(format!(
-                    "padding bits set beyond bitmap length {len}"
-                )));
-            }
-        }
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            ones.push(w * 64 + bit);
-            word &= word - 1;
-        }
-    }
-    Ok(ones)
+fn read_packed_bits(r: &mut Reader<'_>, len: u64) -> Result<BitVec, CodecError> {
+    let len =
+        usize::try_from(len).map_err(|_| CodecError::new("bitmap length out of usize range"))?;
+    let bytes = r.take(len.div_ceil(64) * 8)?;
+    let words = bytes
+        .chunks_exact(8)
+        .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
+        .collect();
+    // Bits at or above `len` in the final word are padding and must be
+    // zero — anything else is a forgery the bit-identity guarantee
+    // cannot absorb.
+    BitVec::from_words(len, words)
+        .ok_or_else(|| CodecError::new(format!("padding bits set beyond bitmap length {len}")))
 }
 
 // ---------------------------------------------------------------------
@@ -332,11 +329,20 @@ fn algorithm_code(name: &str) -> Option<u8> {
     ALGORITHMS.iter().position(|&(_, n)| n == name).map(|i| i as u8)
 }
 
-fn algorithm_name(code: u8) -> Result<&'static str, CodecError> {
-    ALGORITHMS
+/// The scheme an SMB or bitmap cell body starts with: the algorithm's
+/// code byte, then its seed.
+fn read_scheme(r: &mut Reader<'_>) -> Result<HashScheme, CodecError> {
+    let code = r.byte()?;
+    let seed = r.varint()?;
+    let &(algorithm, _) = ALGORITHMS
         .get(usize::from(code))
-        .map(|&(_, name)| name)
-        .ok_or_else(|| CodecError::new(format!("unknown hash algorithm code {code}")))
+        .ok_or_else(|| CodecError::new(format!("unknown hash algorithm code {code}")))?;
+    Ok(HashScheme::new(algorithm, seed))
+}
+
+/// The scheme whose JSON object carries algorithm `code` and `seed`.
+fn scheme_of(code: u8, seed: u64) -> HashScheme {
+    HashScheme::new(ALGORITHMS[usize::from(code)].0, seed)
 }
 
 /// Strict read of a `{"algorithm", "seed"}` scheme object. `None`
@@ -355,13 +361,6 @@ fn scheme_parts(scheme: &Json) -> Option<(u8, u64)> {
         }
         _ => None,
     }
-}
-
-fn scheme_json(code: u8, seed: u64) -> Result<Json, CodecError> {
-    Ok(Json::Obj(vec![
-        ("algorithm".into(), Json::Str(algorithm_name(code)?.into())),
-        ("seed".into(), Json::Int(seed as i128)),
-    ]))
 }
 
 /// Strict read of a `{"len", "ones"}` bits object with ascending
@@ -392,13 +391,16 @@ fn bits_parts(bits: &Json) -> Option<(usize, Vec<usize>)> {
     Some((len, indices))
 }
 
-fn bits_json(len: usize, ones: &[usize]) -> Json {
+/// A bits object in the canonical `BitVec::to_json` shape.
+fn bits_json(bits: &BitVec) -> Json {
+    // Indices first, then one exact-size pass into `Json` values: on
+    // dense bitmaps this beats pushing `Json` values one by one.
+    let mut idx = Vec::with_capacity(bits.count_ones());
+    idx.extend(bits.iter_ones());
+    let ones = idx.into_iter().map(|i| Json::Int(i as i128)).collect();
     Json::Obj(vec![
-        ("len".into(), Json::Int(len as i128)),
-        (
-            "ones".into(),
-            Json::Arr(ones.iter().map(|&i| Json::Int(i as i128)).collect()),
-        ),
+        ("len".into(), Json::Int(bits.len() as i128)),
+        ("ones".into(), Json::Arr(ones)),
     ])
 }
 
@@ -622,7 +624,126 @@ fn write_packed_state(out: &mut Vec<u8>, state: PackedState<'_>) -> bool {
     true
 }
 
-fn decode_cell_state_reader(r: &mut Reader<'_>) -> Result<Json, CodecError> {
+/// One decoded cell state, owned: what a cell's bytes (or its v1 JSON
+/// state) say, before any estimator is built from it. The owned twin
+/// of [`PackedState`], plus the hash-list tiers and the JSON escape
+/// hatch. The codec checks only structure (capacities, distinct
+/// hashes, zero padding); whether an SMB state is one Algorithm 1 can
+/// reach, and whether it fits an engine's spec, is checked where it is
+/// restored.
+///
+/// [`PackedState`]: smb_core::PackedState
+#[derive(Debug, Clone, PartialEq)]
+pub enum CellState {
+    /// A small-tier cell: at most [`SMALL_CAP`] distinct hashes, in
+    /// arrival order ([`TAG_SMALL`]).
+    Small(Vec<u64>),
+    /// An array-tier cell: at most [`ARRAY_CAP`] distinct hashes, in
+    /// arrival order ([`TAG_ARRAY`]).
+    Array(Vec<u64>),
+    /// A self-morphing bitmap ([`TAG_SMB`]); `m` is `bits.len()`. The
+    /// counters are the raw values the bytes carry.
+    Smb {
+        /// The hash scheme items were recorded under.
+        scheme: HashScheme,
+        /// Morphing threshold `T`.
+        t: u64,
+        /// Current round.
+        r: u64,
+        /// Fresh bits set in the current round.
+        v: u64,
+        /// The physical bitmap.
+        bits: BitVec,
+    },
+    /// A plain bitmap estimator ([`TAG_BITMAP`]).
+    Bitmap {
+        /// The hash scheme items were recorded under.
+        scheme: HashScheme,
+        /// The bitmap.
+        bits: BitVec,
+    },
+    /// Any other estimator state, carried as JSON ([`TAG_JSON`]).
+    Json(Json),
+}
+
+impl CellState {
+    /// Read a JSON cell state (a v1 checkpoint's, or
+    /// `FlowCell::snapshot_state`'s) with the strict shape matchers
+    /// [`encode_cell_state`] uses: a state gets the typed variant
+    /// exactly when the transcoder would give it that tag, and
+    /// anything else stays [`CellState::Json`].
+    pub fn from_json(state: Json) -> CellState {
+        if let Some((tag, hashes)) = tier_parts(&state) {
+            return if tag == TAG_SMALL {
+                CellState::Small(hashes)
+            } else {
+                CellState::Array(hashes)
+            };
+        }
+        if let Some((alg, seed, m, t, r, v, ones)) = smb_parts(&state) {
+            let mut bits = BitVec::new(m as usize);
+            bits.set_all(ones);
+            return CellState::Smb {
+                scheme: scheme_of(alg, seed),
+                t,
+                r,
+                v,
+                bits,
+            };
+        }
+        if let Some((alg, seed, len, ones)) = bitmap_parts(&state) {
+            let mut bits = BitVec::new(len);
+            bits.set_all(ones);
+            return CellState::Bitmap {
+                scheme: scheme_of(alg, seed),
+                bits,
+            };
+        }
+        CellState::Json(state)
+    }
+
+    /// The canonical JSON state this cell stands for — what
+    /// `FlowCell::snapshot_state` gives for the cell it describes.
+    pub fn into_json(self) -> Json {
+        let tier = |name: &str, hashes: Vec<u64>| {
+            Json::Obj(vec![
+                ("tier".into(), Json::Str(name.into())),
+                (
+                    "hashes".into(),
+                    Json::Arr(hashes.iter().map(|&h| Json::Int(h as i128)).collect()),
+                ),
+            ])
+        };
+        match self {
+            CellState::Small(hashes) => tier("small", hashes),
+            CellState::Array(hashes) => tier("array", hashes),
+            CellState::Smb {
+                scheme,
+                t,
+                r,
+                v,
+                bits,
+            } => Json::Obj(vec![
+                ("scheme".into(), scheme.to_json()),
+                ("m".into(), Json::Int(bits.len() as i128)),
+                ("t".into(), Json::Int(t as i128)),
+                ("r".into(), Json::Int(r as i128)),
+                ("v".into(), Json::Int(v as i128)),
+                ("bits".into(), bits_json(&bits)),
+            ]),
+            CellState::Bitmap { scheme, bits } => Json::Obj(vec![
+                ("scheme".into(), scheme.to_json()),
+                ("bits".into(), bits_json(&bits)),
+            ]),
+            CellState::Json(state) => state,
+        }
+    }
+}
+
+/// Read one tagged cell state — the only code that interprets tag
+/// bytes.
+#[inline]
+fn read_cell(r: &mut Reader<'_>) -> Result<CellState, CodecError> {
     match r.byte()? {
         TAG_JSON => {
             let len = r.varint()?;
@@ -631,62 +752,49 @@ fn decode_cell_state_reader(r: &mut Reader<'_>) -> Result<Json, CodecError> {
             let bytes = r.take(len)?;
             let text = std::str::from_utf8(bytes)
                 .map_err(|_| CodecError::new("JSON payload is not UTF-8"))?;
-            Json::parse(text).map_err(|e| CodecError::new(format!("embedded JSON: {e}")))
+            let state =
+                Json::parse(text).map_err(|e| CodecError::new(format!("embedded JSON: {e}")))?;
+            Ok(CellState::Json(state))
         }
-        tag @ (TAG_SMALL | TAG_ARRAY) => {
-            let (name, cap) = if tag == TAG_SMALL {
-                ("small", SMALL_CAP)
-            } else {
-                ("array", ARRAY_CAP)
-            };
-            let hashes = read_hash_list(r, cap)?;
-            Ok(Json::Obj(vec![
-                ("tier".into(), Json::Str(name.into())),
-                (
-                    "hashes".into(),
-                    Json::Arr(hashes.iter().map(|&h| Json::Int(h as i128)).collect()),
-                ),
-            ]))
-        }
+        TAG_SMALL => Ok(CellState::Small(read_hash_list(r, SMALL_CAP)?)),
+        TAG_ARRAY => Ok(CellState::Array(read_hash_list(r, ARRAY_CAP)?)),
         TAG_SMB => {
-            let alg = r.byte()?;
-            let seed = r.varint()?;
+            let scheme = read_scheme(r)?;
             let m = r.varint()?;
             let t = r.varint()?;
             let round = r.varint()?;
             let v = r.varint()?;
-            let m_usize = usize::try_from(m)
-                .map_err(|_| CodecError::new("SMB m out of usize range"))?;
-            let ones = read_packed_bits(r, m_usize)?;
-            Ok(Json::Obj(vec![
-                ("scheme".into(), scheme_json(alg, seed)?),
-                ("m".into(), Json::Int(m as i128)),
-                ("t".into(), Json::Int(t as i128)),
-                ("r".into(), Json::Int(round as i128)),
-                ("v".into(), Json::Int(v as i128)),
-                ("bits".into(), bits_json(m_usize, &ones)),
-            ]))
+            let bits = read_packed_bits(r, m)?;
+            Ok(CellState::Smb {
+                scheme,
+                t,
+                r: round,
+                v,
+                bits,
+            })
         }
         TAG_BITMAP => {
-            let alg = r.byte()?;
-            let seed = r.varint()?;
+            let scheme = read_scheme(r)?;
             let len = r.varint()?;
-            let len = usize::try_from(len)
-                .map_err(|_| CodecError::new("bitmap length out of usize range"))?;
-            let ones = read_packed_bits(r, len)?;
-            Ok(Json::Obj(vec![
-                ("scheme".into(), scheme_json(alg, seed)?),
-                ("bits".into(), bits_json(len, &ones)),
-            ]))
+            let bits = read_packed_bits(r, len)?;
+            Ok(CellState::Bitmap { scheme, bits })
         }
         other => Err(CodecError::new(format!("unknown cell-state tag {other:#04x}"))),
     }
 }
 
 /// Decode one tagged cell state, requiring the input to be exactly one
-/// encoded value (trailing bytes are an error). Inverse of
-/// [`encode_cell_state`]; hostile or truncated input errors, never
-/// panics.
+/// encoded value (trailing bytes are an error). Hostile or truncated
+/// input errors, never panics.
+#[inline]
+pub fn decode_cell(bytes: &[u8]) -> Result<CellState, CodecError> {
+    let mut r = Reader::new(bytes);
+    let state = read_cell(&mut r)?;
+    r.done()?;
+    Ok(state)
+}
+
+/// [`decode_cell`] as JSON: the inverse of [`encode_cell_state`].
 ///
 /// ```
 /// use smb_sketch::codec::decode_cell_state;
@@ -697,10 +805,7 @@ fn decode_cell_state_reader(r: &mut Reader<'_>) -> Result<Json, CodecError> {
 /// assert!(decode_cell_state(&[0x03, 0x00, 0x07]).is_err());
 /// ```
 pub fn decode_cell_state(bytes: &[u8]) -> Result<Json, CodecError> {
-    let mut r = Reader::new(bytes);
-    let state = decode_cell_state_reader(&mut r)?;
-    r.done()?;
-    Ok(state)
+    decode_cell(bytes).map(CellState::into_json)
 }
 
 // ---------------------------------------------------------------------
@@ -824,11 +929,26 @@ impl FlowBlockBuilder {
     }
 }
 
-/// Decode a flow block produced by [`encode_flow_block`], returning
-/// the flows in their encoded (ascending) order. All counts and
-/// lengths are validated against the remaining input before
-/// allocation; trailing bytes are an error.
+/// Decode a flow block produced by [`encode_flow_block`] (or
+/// [`FlowBlockBuilder`]) into typed cell states, in their encoded
+/// (ascending) key order. All counts and lengths are validated
+/// against the remaining input before allocation; trailing bytes are
+/// an error.
+pub fn decode_flow_states(bytes: &[u8]) -> Result<Vec<(u64, CellState)>, CodecError> {
+    read_flow_block(bytes, |state| state)
+}
+
+/// [`decode_flow_states`] as JSON: every cell through
+/// [`CellState::into_json`].
 pub fn decode_flow_block(bytes: &[u8]) -> Result<Vec<(u64, Json)>, CodecError> {
+    read_flow_block(bytes, CellState::into_json)
+}
+
+/// Walk a flow block, handing each decoded cell to `cell`.
+fn read_flow_block<T>(
+    bytes: &[u8],
+    mut cell: impl FnMut(CellState) -> T,
+) -> Result<Vec<(u64, T)>, CodecError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(4)?;
     if magic != FLOW_BLOCK_MAGIC {
@@ -862,9 +982,7 @@ pub fn decode_flow_block(bytes: &[u8]) -> Result<Vec<(u64, Json)>, CodecError> {
         let len = r.varint()?;
         let len = usize::try_from(len)
             .map_err(|_| CodecError::new("cell length out of range"))?;
-        let cell = r.take(len)?;
-        let state = decode_cell_state(cell)?;
-        flows.push((flow, state));
+        flows.push((flow, cell(decode_cell(r.take(len)?)?)));
     }
     r.done()?;
     Ok(flows)

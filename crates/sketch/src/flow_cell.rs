@@ -117,6 +117,29 @@ impl<E> FlowCell<E> {
         FlowCell::Full(Box::new(estimator))
     }
 
+    /// An unmaterialized cell on `tier` holding `hashes`: distinct raw
+    /// hashes in arrival order, as a checkpointed hash list carries
+    /// them (the restore path). `None` when `tier` is [`Tier::Full`]
+    /// or `hashes` is over the tier's capacity.
+    pub fn from_hashes(tier: Tier, hashes: &[u64]) -> Option<Self> {
+        let len = hashes.len();
+        match tier {
+            Tier::Small if len <= SMALL_CAP => Some(FlowCell::Small {
+                len: len as u8,
+                hash: hashes.first().copied().unwrap_or(0),
+            }),
+            Tier::Array if len <= ARRAY_CAP => {
+                let mut array = ArrayTier {
+                    len: len as u8,
+                    hashes: [0; ARRAY_CAP],
+                };
+                array.hashes[..len].copy_from_slice(hashes);
+                Some(FlowCell::Array(Box::new(array)))
+            }
+            _ => None,
+        }
+    }
+
     /// Which tier the cell currently occupies.
     pub fn tier(&self) -> Tier {
         match self {
@@ -334,7 +357,7 @@ fn record_raw_hashes<E: CardinalityEstimator>(est: &mut E, raws: &[u64]) {
 #[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::*;
-    use smb_devtools::{Json, JsonError};
+    use smb_devtools::Json;
 
     impl<E: CardinalityEstimator> FlowCell<E> {
         /// Serialize the cell's tier. Small and array tiers become a
@@ -363,64 +386,6 @@ mod snapshot_impl {
                     ]))
                 }
             }
-        }
-    }
-
-    impl<E> FlowCell<E> {
-        /// Rebuild a small or array tier cell from its tagged state.
-        /// Returns `Ok(None)` when `state` carries no `tier` field —
-        /// i.e. it is a plain estimator state (old checkpoints, full
-        /// cells) the caller must route through the estimator restore
-        /// path instead.
-        ///
-        /// # Errors
-        /// [`JsonError`] when the tier tag is unknown or the stored
-        /// hashes violate the tier's invariants (over capacity, or
-        /// duplicated — cells hold *distinct* hashes by construction).
-        pub fn from_tier_json(state: &Json) -> Result<Option<Self>, JsonError> {
-            let Ok(tier) = state.field("tier") else {
-                return Ok(None);
-            };
-            let tier = tier.as_str()?;
-            let cap = match tier {
-                "small" => SMALL_CAP,
-                "array" => ARRAY_CAP,
-                other => {
-                    return Err(JsonError::new(format!("unknown cell tier `{other}`")))
-                }
-            };
-            let Json::Arr(raw) = state.field("hashes")? else {
-                return Err(JsonError::new("cell hashes field is not an array"));
-            };
-            if raw.len() > cap {
-                return Err(JsonError::new(format!(
-                    "{tier} tier holds {} hashes, capacity {cap}",
-                    raw.len()
-                )));
-            }
-            let mut hashes = [0u64; ARRAY_CAP];
-            for (slot, v) in hashes.iter_mut().zip(raw) {
-                *slot = v.as_u64()?;
-            }
-            let n = raw.len();
-            for i in 1..n {
-                if hashes[..i].contains(&hashes[i]) {
-                    return Err(JsonError::new(format!(
-                        "{tier} tier holds duplicate hash {:#x}",
-                        hashes[i]
-                    )));
-                }
-            }
-            Ok(Some(match tier {
-                "small" => FlowCell::Small {
-                    len: n as u8,
-                    hash: hashes[0],
-                },
-                _ => FlowCell::Array(Box::new(ArrayTier {
-                    len: n as u8,
-                    hashes,
-                })),
-            }))
         }
     }
 }

@@ -13,8 +13,8 @@
 use smb_devtools::prop::gens;
 use smb_devtools::{forall, prop_assert, prop_assert_eq, Json};
 use smb_sketch::codec::{
-    decode_cell_state, decode_flow_block, encode_cell_state, encode_flow_block, read_varint,
-    write_varint, zigzag_decode, zigzag_encode,
+    decode_cell, decode_cell_state, decode_flow_block, encode_cell_state, encode_flow_block,
+    read_varint, write_varint, zigzag_decode, zigzag_encode, CellState,
 };
 
 /// Build a canonical hash scheme object (`{"algorithm", "seed"}`).
@@ -152,7 +152,14 @@ fn cell_states_round_trip_across_all_tiers() {
             Ok(j) => j,
             Err(e) => return Err(smb_devtools::prop::PropError::fail(format!("decode: {e}"))),
         };
-        prop_assert_eq!(back, state, "decode(encode(state)) must be identity");
+        prop_assert_eq!(&back, &state, "decode(encode(state)) must be identity");
+        // The typed reader of the bytes and the typed reading of the
+        // JSON agree: a v1 state and its v2 bytes restore alike.
+        prop_assert_eq!(
+            decode_cell(&bytes).ok(),
+            Some(CellState::from_json(state)),
+            "typed state of the bytes vs of the JSON"
+        );
     });
 }
 
@@ -460,4 +467,54 @@ fn protocol_flow_block_example_from_json_and_live_cells() {
     block.push_cell(19, &FlowCell::<Smb>::new()).unwrap();
     block.push_cell(7, &hot).unwrap();
     assert_eq!(block.finish_sorted().unwrap(), want);
+}
+
+/// PROTOCOL.md §5.4's worked SMB cell, pinned three ways: transcoded
+/// from its JSON, encoded from a live SMB in that state, and decoded
+/// back to the typed state and to the JSON.
+#[cfg(feature = "snapshot")]
+#[test]
+fn protocol_smb_cell_example_from_json_live_smb_and_back() {
+    use std::sync::Arc;
+
+    use smb_core::{BitVec, Smb, SmbParams};
+    use smb_hash::{HashAlgorithm, HashScheme};
+    use smb_sketch::codec::{decode_cell, encode_cell, CellState};
+    use smb_sketch::FlowCell;
+
+    #[rustfmt::skip]
+    let want: [u8; 24] = [
+        0x03, 0x00, 0x07, 0x80, 0x01, 0x02, 0x01, 0x01,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+    ];
+    let json = Json::parse(concat!(
+        r#"{"scheme":{"algorithm":"xxh64","seed":7},"m":128,"t":2,"r":1,"v":1,"#,
+        r#""bits":{"len":128,"ones":[0,64,127]}}"#,
+    ))
+    .unwrap();
+    assert_eq!(json.to_string().len(), 104);
+    assert_eq!(encode_cell_state(&json), want);
+
+    let scheme = HashScheme::new(HashAlgorithm::Xxh64, 7);
+    let mut bits = BitVec::new(128);
+    bits.set_all([0, 64, 127]);
+    let params = Arc::new(SmbParams::new(128, 2).unwrap());
+    let smb = Smb::from_parts(params, scheme, 1, 1, bits.clone()).expect("reachable state");
+    assert_eq!(
+        encode_cell(&FlowCell::from_estimator(smb)),
+        Some(want.to_vec())
+    );
+
+    let state = CellState::Smb {
+        scheme,
+        t: 2,
+        r: 1,
+        v: 1,
+        bits,
+    };
+    assert_eq!(decode_cell(&want).unwrap(), state);
+    assert_eq!(CellState::from_json(json.clone()), state);
+    assert_eq!(state.into_json(), json);
+    assert_eq!(decode_cell_state(&want).unwrap(), json);
 }

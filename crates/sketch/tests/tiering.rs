@@ -463,11 +463,13 @@ fn tiered_table_matches_eager_table_under_random_sequences() {
 /// Every tier round-trips through its checkpoint state: small and
 /// array cells come back *on their tier* with the same pending hashes,
 /// materialized cells restore from the estimator's own (pre-tier,
-/// wrapper-free) state — and all of them estimate bit-identically.
+/// wrapper-free) state — and all of them estimate bit-identically. The
+/// typed state decoded from the cell's bytes is the one its JSON state
+/// reads as.
 #[cfg(feature = "snapshot")]
 #[test]
 fn every_tier_round_trips_through_its_snapshot_state() {
-    use smb_devtools::Snapshot;
+    use smb_sketch::codec::{decode_cell, encode_cell, CellState};
     use smb_sketch::FlowCell;
 
     let sch = scheme();
@@ -477,13 +479,33 @@ fn every_tier_round_trips_through_its_snapshot_state() {
             cell.record_hash(sch.item_hash(&(i as u64).to_le_bytes()), make);
         }
         assert_eq!(cell.tier(), expected_tier(n), "{n} items");
-        let state = cell.snapshot_state().expect("SMB supports snapshots");
-        let restored = match FlowCell::<Smb>::from_tier_json(&state).expect("valid state") {
-            Some(tiered_cell) => tiered_cell,
-            // No tier wrapper: a materialized cell's state is the bare
-            // estimator state (byte-identical to pre-tier checkpoints).
-            None => FlowCell::from_estimator(Smb::from_json(&state).expect("estimator state")),
-        };
+        let bytes = encode_cell(&cell).expect("SMB supports snapshots");
+        let state = decode_cell(&bytes).expect("own bytes decode");
+        let json = cell.snapshot_state().expect("SMB supports snapshots");
+        assert_eq!(
+            CellState::from_json(json),
+            state,
+            "{n} items: JSON and bytes agree"
+        );
+        let restored = match state {
+            CellState::Small(hashes) => FlowCell::from_hashes(Tier::Small, &hashes),
+            CellState::Array(hashes) => FlowCell::from_hashes(Tier::Array, &hashes),
+            // A materialized cell's state is the bare estimator state.
+            CellState::Smb {
+                scheme,
+                t,
+                r,
+                v,
+                bits,
+            } => {
+                let params = Arc::clone(make().params());
+                assert_eq!(t, params.threshold() as u64);
+                let smb = Smb::from_parts(params, scheme, r as u32, v as usize, bits);
+                Some(FlowCell::from_estimator(smb.expect("reachable state")))
+            }
+            other => panic!("{n} items: unexpected state {other:?}"),
+        }
+        .expect("within tier capacity");
         assert_eq!(restored.tier(), cell.tier(), "{n} items: tier must survive");
         assert_eq!(
             restored.pending_hashes(),

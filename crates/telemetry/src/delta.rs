@@ -1,7 +1,7 @@
 //! The cheap observer path: thread-local delta folding for estimator
 //! events.
 //!
-//! [`MetricsObserver`](crate::MetricsObserver) performs one atomic RMW
+//! Folding each event straight into the registry costs one atomic RMW
 //! per metric cell per event — seven contended atomics every time any
 //! estimator morphs, clears or saturates. That is fine for a single
 //! estimator but shows up on the ingest hot path once every shard
@@ -105,15 +105,14 @@ thread_local! {
 /// only on explicit [`flush_local`](BatchedMetricsObserver::flush_local)
 /// calls.
 ///
-/// Registers **the same metric families** as
-/// [`MetricsObserver`](crate::MetricsObserver) (`smb_morph_events_total`,
+/// Registers seven metric families (`smb_morph_events_total`,
 /// `smb_round`, `smb_logical_size_bits`, `smb_items_between_morphs`,
 /// `smb_estimate_at_close`, `smb_cleared_total`, `smb_saturated_total`);
 /// after every thread that folded events has flushed, counter totals
-/// and histogram contents are identical to the per-event observer's.
-/// The last-write gauges (`smb_logical_size_bits`,
+/// and histogram contents are identical to folding each event straight
+/// into the cells. The last-write gauges (`smb_logical_size_bits`,
 /// `smb_estimate_at_close`) carry *a* latest-flushed value when several
-/// threads race — exactly as racy as the per-event path, where
+/// threads race — exactly as racy as per-event folding, where
 /// concurrent `set` calls interleave arbitrarily.
 ///
 /// ```
@@ -278,8 +277,7 @@ impl SmbObserver for BatchedMetricsObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::MetricsObserver;
-    use smb_core::{CardinalityEstimator, MorphEvent, Smb};
+    use smb_core::{CardinalityEstimator, MorphCollector, MorphEvent, Smb};
 
     fn morph(round: u32, items: u64) -> MorphEvent {
         MorphEvent {
@@ -327,16 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_per_event_observer_after_flush() {
-        // The same live estimator stream through both observers must
-        // leave identical registry state once the batched side flushes.
-        let per_event_reg = Registry::new("t");
-        let batched_reg = Registry::new("t");
-        let per_event = MetricsObserver::register(&per_event_reg, &[]).into_handle();
-        let batched = BatchedMetricsObserver::register(&batched_reg, &[]);
+    fn batched_matches_a_reference_fold_after_flush() {
+        // The same live estimator stream goes to the batched observer
+        // and to a recorder; once the batched side flushes, the
+        // registry must hold exactly what folding the recorded events
+        // one at a time gives.
+        let registry = Registry::new("t");
+        let batched = BatchedMetricsObserver::register(&registry, &[]);
+        let recorded = MorphCollector::shared();
 
         let mut a = Smb::new(2048, 256).unwrap();
-        a.set_observer(Some(per_event));
+        a.set_observer(Some(ObserverHandle::new(recorded.clone())));
         let mut b = Smb::new(2048, 256).unwrap();
         b.set_observer(Some(batched.clone().into_handle()));
         for i in 0..120_000u64 {
@@ -347,35 +346,48 @@ mod tests {
         b.clear();
         batched.flush_local();
 
-        let pe = per_event_reg.snapshot();
-        let ba = batched_reg.snapshot();
-        for counter in [
-            "smb_morph_events_total",
-            "smb_cleared_total",
-            "smb_saturated_total",
+        // The reference fold: counters count, the round gauge keeps the
+        // highest round reached, last-write gauges keep the last event,
+        // and every morph's item count is one histogram sample.
+        let events = recorded.events();
+        assert!(
+            events.len() > 2,
+            "the stream must morph for the test to bite"
+        );
+        let items = Histogram::new();
+        for e in &events {
+            items.record(e.items_since_last_morph);
+        }
+        let last = events.last().expect("morphed");
+        let snap = registry.snapshot();
+        for (counter, want) in [
+            ("smb_morph_events_total", events.len() as u64),
+            ("smb_cleared_total", recorded.cleared_count()),
+            ("smb_saturated_total", recorded.saturated_count()),
         ] {
-            assert_eq!(pe.counter_total(counter), ba.counter_total(counter), "{counter}");
+            assert_eq!(snap.counter_total(counter), want, "{counter}");
         }
-        for gauge in ["smb_round", "smb_logical_size_bits", "smb_estimate_at_close"] {
-            assert_eq!(
-                pe.get(gauge, &[]).unwrap().as_gauge(),
-                ba.get(gauge, &[]).unwrap().as_gauge(),
-                "{gauge}"
-            );
+        assert_eq!(recorded.cleared_count(), 1);
+        let round_max = events.iter().map(|e| e.round as i64 + 1).max();
+        for (gauge, want) in [
+            ("smb_round", round_max),
+            ("smb_logical_size_bits", Some(last.logical_size as i64)),
+            (
+                "smb_estimate_at_close",
+                Some(last.estimate_at_close.round() as i64),
+            ),
+        ] {
+            assert_eq!(snap.get(gauge, &[]).unwrap().as_gauge(), want, "{gauge}");
         }
-        let ph = pe
+        let got = snap
             .get("smb_items_between_morphs", &[])
             .unwrap()
             .as_histogram()
             .unwrap();
-        let bh = ba
-            .get("smb_items_between_morphs", &[])
-            .unwrap()
-            .as_histogram()
-            .unwrap();
-        assert_eq!(ph.count, bh.count);
-        assert_eq!(ph.sum, bh.sum);
-        assert_eq!(ph.buckets, bh.buckets);
+        let want = items.snapshot();
+        assert_eq!(got.count, want.count);
+        assert_eq!(got.sum, want.sum);
+        assert_eq!(got.buckets, want.buckets);
     }
 
     #[test]

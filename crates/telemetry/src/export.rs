@@ -1,8 +1,10 @@
 //! Render a [`RegistrySnapshot`] for the outside world: compact JSON
-//! (via `smb-devtools`' writer) or Prometheus text exposition.
+//! (via `smb-devtools`' writer) or Prometheus text exposition — and a
+//! single [`MorphEvent`] as a JSON line.
 
 use std::fmt::Write as _;
 
+use smb_core::MorphEvent;
 use smb_devtools::Json;
 
 use crate::metrics::HistogramSnapshot;
@@ -252,10 +254,57 @@ pub fn snapshot_to_prometheus(snapshot: &RegistrySnapshot) -> String {
     out
 }
 
+/// A [`MorphEvent`] as one JSON object — the `smbcount morphlog`
+/// line format.
+pub fn morph_event_to_json(event: &MorphEvent) -> Json {
+    Json::Obj(vec![
+        ("round".into(), Json::Int(event.round as i128)),
+        (
+            "fresh_bits_at_close".into(),
+            Json::Int(event.fresh_bits_at_close as i128),
+        ),
+        ("logical_size".into(), Json::Int(event.logical_size as i128)),
+        (
+            "items_since_last_morph".into(),
+            Json::Int(event.items_since_last_morph as i128),
+        ),
+        (
+            "estimate_at_close".into(),
+            Json::Float(event.estimate_at_close),
+        ),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Registry;
+
+    #[test]
+    fn morph_event_json_shape() {
+        let event = MorphEvent {
+            round: 2,
+            fresh_bits_at_close: 400,
+            logical_size: 3296,
+            items_since_last_morph: 12345,
+            estimate_at_close: 67890.5,
+        };
+        let json = morph_event_to_json(&event);
+        let text = json.to_string();
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.field("round").unwrap().as_u64().unwrap(), 2);
+        assert_eq!(
+            parsed
+                .field("items_since_last_morph")
+                .unwrap()
+                .as_u64()
+                .unwrap(),
+            12345
+        );
+        assert!(
+            (parsed.field("estimate_at_close").unwrap().as_f64().unwrap() - 67890.5).abs() < 1e-9
+        );
+    }
 
     fn sample_registry() -> Registry {
         let r = Registry::new("smb_test");

@@ -9,16 +9,16 @@
 //! * [`Registry::timer`] / [`Span`] — RAII scope timing into
 //!   histograms, compiled to a no-op under the `telemetry-off`
 //!   feature;
-//! * [`MetricsObserver`] — an [`smb_core::SmbObserver`] folding morph
-//!   / clear / saturation events into a registry;
-//! * [`BatchedMetricsObserver`] — the same seven metric families fed
-//!   through thread-local delta buffers, flushed on batch boundaries
-//!   (the hot-path observer the sharded engine uses);
+//! * [`BatchedMetricsObserver`] — an [`smb_core::SmbObserver`] folding
+//!   morph / clear / saturation events into seven registry metric
+//!   families through thread-local delta buffers, flushed on batch
+//!   boundaries (the observer the sharded engine attaches);
 //! * [`FlightRecorder`] — a fixed-capacity lock-free ring retaining
 //!   the last N morph / lifecycle events for `smbcount doctor` and
 //!   `morphlog --last`;
 //! * [`ExportFormat`] — render a [`RegistrySnapshot`] as compact JSON
-//!   or Prometheus text exposition;
+//!   or Prometheus text exposition ([`morph_event_to_json`] renders
+//!   one morph event);
 //! * [`Reporter`] — a background thread emitting snapshots on an
 //!   interval.
 //!
@@ -33,16 +33,14 @@ pub mod delta;
 pub mod export;
 pub mod flight;
 pub mod metrics;
-pub mod observer;
 pub mod registry;
 pub mod reporter;
 pub mod timer;
 
 pub use delta::BatchedMetricsObserver;
-pub use export::{snapshot_to_json, snapshot_to_prometheus, ExportFormat};
+pub use export::{morph_event_to_json, snapshot_to_json, snapshot_to_prometheus, ExportFormat};
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use observer::{morph_event_to_json, MetricsObserver};
 pub use registry::{
     is_valid_label_name, is_valid_metric_name, Label, MetricKind, MetricSnapshot, MetricValue,
     Registry, RegistrySnapshot, SeriesSnapshot,

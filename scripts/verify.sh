@@ -174,16 +174,29 @@ RUSTDOCFLAGS="-Dwarnings" cargo doc --no-deps --workspace --offline
 cargo test --doc --workspace -q --offline
 
 step "checkpoint/restore smoke (offline): serve --checkpoint-dir, crash, restore"
-# Epoch 0 is written in the v1 JSON format, epoch 1 in the default v2
-# flow-block format — so tearing the newest (v2) epoch makes restore
-# degrade across formats onto the v1 shards, exercising both decoders
-# and the cross-format epoch sequence in one pass.
+# Restore reads the v1 JSON shards that older epochs on disk still use
+# as well as the v2 flow blocks every epoch is now written in. The
+# committed golden epochs (one per format, crates/engine/tests/fixtures)
+# must restore bit-identically, and a torn v2 epoch on top of the v1
+# one must degrade across formats onto it. Run by exact name and
+# require "1 passed", so a rename cannot filter it away.
+golden_out="$(cargo test --offline -p smb-engine --test checkpoint -- --exact \
+    golden_v1_and_v2_checkpoints_restore_bit_identically 2>&1)"
+if ! grep -q "1 passed" <<<"$golden_out"; then
+    echo "FAIL: golden v1/v2 checkpoint restore test did not run or pass:" >&2
+    echo "$golden_out" >&2
+    exit 1
+fi
+echo "ok: golden v1 and v2 epochs restore bit-identically, torn v2 falls back onto v1"
+# End to end through the CLI: epoch 0 from one serve run, epoch 1 from
+# a second, then tearing the newest epoch makes restore degrade to
+# epoch 0 with the first run's estimates.
 ckpt_dir="$(mktemp -d)/smb-ckpt"
 trace_file="$(mktemp)"
 cargo run -q --offline -p smb-cli --bin smbcount -- trace --flows 200 --seed 7 >"$trace_file"
 serve_out="$(
     cargo run -q --offline -p smb-cli --bin smbcount -- \
-        serve --shards 2 --top 5 --checkpoint-dir "$ckpt_dir" --checkpoint-format v1 <"$trace_file"
+        serve --shards 2 --top 5 --checkpoint-dir "$ckpt_dir" <"$trace_file"
 )"
 grep -qF "checkpoint   : epoch 0" <<<"$serve_out" || {
     echo "FAIL: serve did not report its final checkpoint epoch:" >&2
@@ -195,7 +208,7 @@ grep -qF "checkpoint   : epoch 0" <<<"$serve_out" || {
 cargo run -q --offline -p smb-cli --bin smbcount -- \
     serve --shards 2 --checkpoint-dir "$ckpt_dir" <"$trace_file" >/dev/null
 ls "$ckpt_dir"/epoch-0000000001/shard-0001.bin >/dev/null || {
-    echo "FAIL: second serve run did not write v2 (.bin) shards by default" >&2
+    echo "FAIL: second serve run did not write v2 (.bin) shards" >&2
     ls -R "$ckpt_dir" >&2
     exit 1
 }

@@ -23,8 +23,9 @@
 //!   lock-free shard workers with explicit backpressure);
 //! * [`telemetry`] — the in-tree observability layer: lock-free
 //!   [`telemetry::Registry`] metrics (counters, gauges, power-of-two
-//!   histograms), SMB morph-event tracing via
-//!   [`telemetry::MetricsObserver`], and JSON / Prometheus exporters;
+//!   histograms), SMB morph-event metrics via
+//!   [`telemetry::BatchedMetricsObserver`], and JSON / Prometheus
+//!   exporters;
 //! * [`hash`] — the first-party hashing substrate.
 //!
 //! ## Quickstart
