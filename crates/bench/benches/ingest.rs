@@ -27,7 +27,9 @@ use std::sync::Arc;
 use smb_bench::{Algo, AlgoSpec};
 use smb_core::{CardinalityEstimator, EstimatorEvent, MorphCollector, ObserverHandle};
 use smb_devtools::{black_box, Bench, Json};
-use smb_engine::{record_batch_grouped, EngineConfig, GroupScratch, ShardedFlowEngine};
+use smb_engine::{
+    record_batch_grouped, EngineConfig, EngineQuery, GroupScratch, ShardedFlowEngine,
+};
 use smb_factory::DynEstimator;
 use smb_hash::ItemHash;
 use smb_sketch::FlowTable;
@@ -704,14 +706,23 @@ fn main() {
                     black_box(decode_flow_block(&block).expect("decode"));
                 }
                 let decode_s = start.elapsed().as_secs_f64() / reps as f64;
+                // The TOP_K sweep over the same state, as the server
+                // answers it: every flow's estimate, then the top 100.
+                let top_k = EngineQuery::new().with_top_k(100);
+                let start = std::time::Instant::now();
+                for _ in 0..reps {
+                    black_box(queries.run(&top_k));
+                }
+                let topk_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
                 eprintln!(
                     "  snapshot block: {} flows, {:.2} MiB — encode {:.0} MiB/s, \
-                     decode {:.0} MiB/s",
+                     decode {:.0} MiB/s; TOP_K(100) sweep {topk_ms:.2} ms",
                     cells.len(),
                     mb,
                     mb / encode_s,
                     mb / decode_s,
                 );
+                bench.extra("topk_sweep_ms", Json::Float(topk_ms));
                 bench.extra("snapshot_flows", Json::Int(cells.len() as i128));
                 bench.extra("snapshot_block_bytes", Json::Int(block.len() as i128));
                 bench.extra("snapshot_encode_mb_per_sec", Json::Float(mb / encode_s));

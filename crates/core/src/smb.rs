@@ -572,6 +572,9 @@ pub struct SmbParams {
     /// `S[i]` for `i ∈ 0..max_rounds`: the cumulative estimate of all
     /// *closed* rounds before round `i` (Eq. 9). `S[0] = 0`.
     s_table: Box<[f64]>,
+    /// `estimate_at(0, v)` for `v ∈ 0..=16`: the answer for every hash
+    /// list too short to close round 0.
+    round0: [f64; INLINE_REPLAY + 1],
 }
 
 impl SmbParams {
@@ -582,12 +585,15 @@ impl SmbParams {
     pub fn new(m: usize, t: usize) -> Result<Self> {
         validate_params(m, t)?;
         let max_rounds = (m / t) as u32;
-        Ok(SmbParams {
+        let mut params = SmbParams {
             m,
             t,
             max_rounds,
             s_table: build_s_table(m, t, max_rounds),
-        })
+            round0: [0.0; INLINE_REPLAY + 1],
+        };
+        params.round0 = std::array::from_fn(|v| params.estimate_at(0, v));
+        Ok(params)
     }
 
     /// The physical bitmap size `m` in bits.
@@ -642,22 +648,34 @@ impl SmbParams {
     /// item closes the round when `v` reaches `T` unless the round is
     /// the final one. Up to 16 hashes run on the stack; longer lists
     /// fall back to an `m`-bit scratch bitmap.
+    ///
+    /// A list shorter than `T` cannot close round 0, which samples
+    /// every item, so its state is `(0, distinct indices)`: that case
+    /// counts the indices and reads a table of `estimate_at(0, v)`
+    /// built with the parameters, bit-identical to the replay.
     pub fn estimate_of_hashes(&self, raws: &[u64]) -> f64 {
-        let (r, v) = if raws.len() <= INLINE_REPLAY {
-            let mut set = [0usize; INLINE_REPLAY];
-            let mut len = 0;
-            self.replay(raws, |idx| {
-                let fresh = !set[..len].contains(&idx);
-                if fresh {
-                    set[len] = idx;
-                    len += 1;
-                }
-                fresh
-            })
-        } else {
+        if raws.len() > INLINE_REPLAY {
             let mut bits = BitVec::new(self.m);
-            self.replay(raws, |idx| bits.set(idx))
+            let (r, v) = self.replay(raws, |idx| bits.set(idx));
+            return self.estimate_at(r, v);
+        }
+        let mut set = [0usize; INLINE_REPLAY];
+        let mut len = 0;
+        let mut insert = |idx: usize| {
+            let fresh = !set[..len].contains(&idx);
+            if fresh {
+                set[len] = idx;
+                len += 1;
+            }
+            fresh
         };
+        if raws.len() < self.t {
+            for &raw in raws {
+                insert(ItemHash::new(raw).index(self.m));
+            }
+            return self.round0[len];
+        }
+        let (r, v) = self.replay(raws, insert);
         self.estimate_at(r, v)
     }
 

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use smb_core::Error;
 use smb_devtools::{Json, Snapshot};
-use smb_factory::{AlgoSpec, DynEstimator};
+use smb_factory::{AlgoSpec, DynEstimator, JsonRestorer};
 use smb_hash::crc32::crc32;
 use smb_sketch::codec::{CellState, FlowBlockBuilder};
 use smb_sketch::{FlowCell, Tier};
@@ -72,13 +72,14 @@ use crate::engine::ShardTable;
 /// Rebuild one flow's cell from its checkpointed state. Hash lists
 /// become unmaterialized small/array cells; SMB and bitmap states
 /// become estimators checked against the spec; a JSON state goes
-/// through [`smb_factory::restore_estimator`] into a full cell — which
-/// also covers pre-tier checkpoints, where every state was a bare
-/// estimator snapshot.
+/// through `json`, the restore's one [`JsonRestorer`] for the spec,
+/// into a full cell — which also covers pre-tier checkpoints, where
+/// every state was a bare estimator snapshot.
 pub(crate) fn restore_cell(
-    spec: AlgoSpec,
+    json: &JsonRestorer,
     state: CellState,
 ) -> smb_core::Result<FlowCell<DynEstimator>> {
+    let spec = json.spec();
     let pending = |tier: Tier, hashes: Vec<u64>| {
         FlowCell::from_hashes(tier, &hashes)
             .ok_or_else(|| Error::invalid("cell", format!("{} tier over capacity", tier.name())))
@@ -96,7 +97,7 @@ pub(crate) fn restore_cell(
         CellState::Bitmap { scheme, bits } => {
             Box::new(smb_factory::restore_bitmap(spec, scheme, bits)?)
         }
-        CellState::Json(state) => smb_factory::restore_estimator(spec, &state)?,
+        CellState::Json(state) => json.restore(&state)?,
     };
     Ok(FlowCell::from_estimator(estimator))
 }

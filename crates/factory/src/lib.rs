@@ -53,7 +53,7 @@ use smb_hash::HashScheme;
 #[cfg(feature = "snapshot")]
 mod snapshot_impl;
 #[cfg(feature = "snapshot")]
-pub use snapshot_impl::{restore_bitmap, restore_estimator, restore_smb};
+pub use snapshot_impl::{restore_bitmap, restore_estimator, restore_smb, JsonRestorer};
 
 /// A heap-allocated estimator that may cross thread boundaries — the
 /// currency of [`build_estimator`] and of the engine's shard workers.

@@ -9,7 +9,8 @@
 //! invariants, and this layer checks that state and spec agree.
 //! [`restore_smb`] and [`restore_bitmap`] take the typed states the
 //! checkpoint codec decodes; an SMB comes back on the spec's shared
-//! parameter block. [`restore_estimator`] takes the JSON state
+//! parameter block. [`JsonRestorer`] (and [`restore_estimator`], one
+//! state through a fresh restorer) takes the JSON state
 //! [`CardinalityEstimator::snapshot_state`] captured, for every other
 //! estimator: `snapshot_state` is object-safe and cannot name a
 //! concrete type, so this is the matching concrete-type dispatch.
@@ -52,14 +53,9 @@ impl Snapshot for AlgoSpec {
 
 /// Rebuild a live estimator from `spec` plus the JSON `state` its
 /// [`CardinalityEstimator::snapshot_state`] produced — the restore
-/// direction of the engine's checkpoint format.
-///
-/// The concrete type is chosen by `spec.algo`; the state's own
-/// structural invariants are validated by that type's
-/// `Snapshot::from_json`, and this function additionally rejects states
-/// that disagree with the spec (different hash scheme, or a memory
-/// footprint other than what building the spec fresh would produce) so
-/// a manifest paired with the wrong shard file cannot restore silently.
+/// direction of the engine's checkpoint format. One call is one
+/// [`JsonRestorer`]; restoring many states of one spec should share
+/// one.
 ///
 /// ```
 /// use smb_core::CardinalityEstimator;
@@ -76,34 +72,78 @@ impl Snapshot for AlgoSpec {
 /// ```
 ///
 /// # Errors
-/// [`Error::InvalidParameter`] when the state fails its type's
-/// invariant checks or does not match the spec.
+/// [`Error::InvalidParameter`] when the spec does not build, or as
+/// [`JsonRestorer::restore`].
 pub fn restore_estimator(spec: AlgoSpec, state: &Json) -> Result<DynEstimator> {
-    let invalid = |e: JsonError| Error::invalid("snapshot", e.to_string());
-    let restored: DynEstimator = match spec.algo {
-        Algo::Smb => Box::new(Smb::from_json(state).map_err(invalid)?),
-        Algo::Mrb => Box::new(Mrb::from_json(state).map_err(invalid)?),
-        Algo::Fm => Box::new(Fm::from_json(state).map_err(invalid)?),
-        Algo::HllPlusPlus => Box::new(HllPlusPlus::from_json(state).map_err(invalid)?),
-        Algo::TailCut => Box::new(HllTailCut::from_json(state).map_err(invalid)?),
-        Algo::Hll => Box::new(Hll::from_json(state).map_err(invalid)?),
-        Algo::LogLog => Box::new(LogLog::from_json(state).map_err(invalid)?),
-        Algo::SuperLogLog => Box::new(SuperLogLog::from_json(state).map_err(invalid)?),
-        Algo::Kmv => Box::new(Kmv::from_json(state).map_err(invalid)?),
-        Algo::Bjkst => Box::new(Bjkst::from_json(state).map_err(invalid)?),
-        Algo::MinCount => Box::new(MinCount::from_json(state).map_err(invalid)?),
-        Algo::Bitmap => Box::new(Bitmap::from_json(state).map_err(invalid)?),
-    };
-    check_scheme(spec, restored.scheme())?;
-    let expected_bits = build_estimator(spec)?.memory_bits();
-    let bits = restored.memory_bits();
-    if bits != expected_bits {
-        let name = spec.algo.name();
-        return Err(mismatch(format!(
-            "restored {name} state occupies {bits} bits but the spec builds {expected_bits} bits"
-        )));
+    JsonRestorer::new(spec)?.restore(state)
+}
+
+/// Restores JSON estimator states against one spec.
+///
+/// The concrete type is chosen by `spec.algo`; the state's own
+/// structural invariants are validated by that type's
+/// `Snapshot::from_json`, and the restorer additionally rejects states
+/// that disagree with the spec (different hash scheme, or a memory
+/// footprint other than what building the spec fresh produces) so a
+/// manifest paired with the wrong shard file cannot restore silently.
+/// The footprint is learnt once, by building the spec's estimator when
+/// the restorer is made, not once per state.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonRestorer {
+    spec: AlgoSpec,
+    expected_bits: usize,
+}
+
+impl JsonRestorer {
+    /// A restorer for states of `spec`.
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] when the spec does not build.
+    pub fn new(spec: AlgoSpec) -> Result<Self> {
+        Ok(JsonRestorer {
+            spec,
+            expected_bits: build_estimator(spec)?.memory_bits(),
+        })
     }
-    Ok(restored)
+
+    /// The spec this restorer checks states against.
+    pub fn spec(&self) -> AlgoSpec {
+        self.spec
+    }
+
+    /// Rebuild one estimator from its JSON `state`.
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] when the state fails its type's
+    /// invariant checks or does not match the spec.
+    pub fn restore(&self, state: &Json) -> Result<DynEstimator> {
+        let spec = self.spec;
+        let invalid = |e: JsonError| Error::invalid("snapshot", e.to_string());
+        let restored: DynEstimator = match spec.algo {
+            Algo::Smb => Box::new(Smb::from_json(state).map_err(invalid)?),
+            Algo::Mrb => Box::new(Mrb::from_json(state).map_err(invalid)?),
+            Algo::Fm => Box::new(Fm::from_json(state).map_err(invalid)?),
+            Algo::HllPlusPlus => Box::new(HllPlusPlus::from_json(state).map_err(invalid)?),
+            Algo::TailCut => Box::new(HllTailCut::from_json(state).map_err(invalid)?),
+            Algo::Hll => Box::new(Hll::from_json(state).map_err(invalid)?),
+            Algo::LogLog => Box::new(LogLog::from_json(state).map_err(invalid)?),
+            Algo::SuperLogLog => Box::new(SuperLogLog::from_json(state).map_err(invalid)?),
+            Algo::Kmv => Box::new(Kmv::from_json(state).map_err(invalid)?),
+            Algo::Bjkst => Box::new(Bjkst::from_json(state).map_err(invalid)?),
+            Algo::MinCount => Box::new(MinCount::from_json(state).map_err(invalid)?),
+            Algo::Bitmap => Box::new(Bitmap::from_json(state).map_err(invalid)?),
+        };
+        check_scheme(spec, restored.scheme())?;
+        let bits = restored.memory_bits();
+        if bits != self.expected_bits {
+            let name = spec.algo.name();
+            let expected = self.expected_bits;
+            return Err(mismatch(format!(
+                "restored {name} state occupies {bits} bits but the spec builds {expected} bits"
+            )));
+        }
+        Ok(restored)
+    }
 }
 
 /// Rebuild an SMB from its checkpointed state — threshold `t`, round
@@ -389,6 +429,35 @@ mod tests {
         assert!(restore_bitmap(spec.memory_bits(704), spec.scheme(), bits.clone()).is_err());
         let smb = AlgoSpec::new(Algo::Smb).memory_bits(640).seed(5);
         assert!(restore_bitmap(smb, spec.scheme(), bits).is_err());
+    }
+
+    /// A state whose footprint differs from what the spec builds is
+    /// rejected by name, here an HLL with twice the registers; one
+    /// restorer serves every state of its spec.
+    #[test]
+    fn hll_state_of_another_footprint_is_rejected() {
+        let small = AlgoSpec::new(Algo::Hll).memory_bits(4096).seed(9);
+        let big = small.memory_bits(8192);
+        let state = |spec: AlgoSpec| {
+            let mut live = spec.build().unwrap();
+            live.record(b"item");
+            live.snapshot_state().unwrap()
+        };
+        let restorer = JsonRestorer::new(small).unwrap();
+        for _ in 0..3 {
+            assert!(restorer.restore(&state(small)).is_ok());
+        }
+        let Err(err) = restorer.restore(&state(big)) else {
+            panic!("an 8192-bit HLL state restored against a 4096-bit spec");
+        };
+        let bits = |spec: AlgoSpec| spec.build().unwrap().memory_bits();
+        let want = format!(
+            "HLL state occupies {} bits but the spec builds {} bits",
+            bits(big),
+            bits(small)
+        );
+        assert!(err.to_string().contains(&want), "{err}");
+        assert!(restore_estimator(big, &state(small)).is_err());
     }
 
     #[test]

@@ -894,11 +894,56 @@ impl FlowBlockBuilder {
     /// # Errors
     /// [`CodecError`] when the keys are not strictly ascending.
     pub fn finish(self) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(16 + self.spans.len() * 12 + self.arena.len());
+        Self::finish_merged(std::slice::from_ref(&self))
+    }
+
+    /// Sort the pushed cells by flow key, in place — the form
+    /// [`FlowBlockBuilder::finish_merged`] takes its parts in.
+    pub fn sort(&mut self) {
+        self.spans.sort_unstable_by_key(|&(flow, _)| flow);
+    }
+
+    /// Sort the pushed cells by flow key, then [`FlowBlockBuilder::finish`].
+    ///
+    /// # Errors
+    /// [`CodecError`] when a flow key was pushed twice.
+    pub fn finish_sorted(mut self) -> Result<Vec<u8>, CodecError> {
+        self.sort();
+        self.finish()
+    }
+
+    /// Frame the cells of several builders, each already sorted
+    /// ([`FlowBlockBuilder::sort`]), as one flow block: a k-way merge
+    /// by flow key. The bytes equal those of a single builder that
+    /// every cell was pushed into, finished with
+    /// [`FlowBlockBuilder::finish_sorted`]. Builders filled on separate
+    /// threads (one per table) meet here.
+    ///
+    /// # Errors
+    /// [`CodecError`] when a part is not sorted or a flow key appears
+    /// in two parts.
+    pub fn finish_merged(parts: &[FlowBlockBuilder]) -> Result<Vec<u8>, CodecError> {
+        let count: usize = parts.iter().map(|p| p.spans.len()).sum();
+        let payload: usize = parts.iter().map(|p| p.arena.len()).sum();
+        let mut out = Vec::with_capacity(16 + count * 12 + payload);
         out.extend_from_slice(&FLOW_BLOCK_MAGIC);
-        write_varint(&mut out, self.spans.len() as u64);
+        write_varint(&mut out, count as u64);
+        // Each part's next unread cell. Parts are few (one per table),
+        // so a scan finds the smallest head. Parts are read in their
+        // own order, so an unsorted part or a repeated key shows up
+        // below as a non-ascending key.
+        let mut next = vec![0usize; parts.len()];
         let mut prev = 0u64;
-        for (i, (flow, range)) in self.spans.into_iter().enumerate() {
+        for i in 0..count {
+            let (part, (flow, range)) = parts
+                .iter()
+                .zip(&next)
+                .enumerate()
+                .filter_map(|(part, (p, &at))| Some((part, p.spans.get(at)?)))
+                .min_by_key(|&(_, &(flow, _))| flow)
+                .expect("a part has cells left while the count is not reached");
+            next[part] += 1;
+            let flow = *flow;
             if i == 0 {
                 write_varint(&mut out, flow);
             } else {
@@ -914,18 +959,9 @@ impl FlowBlockBuilder {
             }
             prev = flow;
             write_varint(&mut out, range.len() as u64);
-            out.extend_from_slice(&self.arena[range]);
+            out.extend_from_slice(&parts[part].arena[range.clone()]);
         }
         Ok(out)
-    }
-
-    /// Sort the pushed cells by flow key, then [`FlowBlockBuilder::finish`].
-    ///
-    /// # Errors
-    /// [`CodecError`] when a flow key was pushed twice.
-    pub fn finish_sorted(mut self) -> Result<Vec<u8>, CodecError> {
-        self.spans.sort_unstable_by_key(|&(flow, _)| flow);
-        self.finish()
     }
 }
 

@@ -27,6 +27,18 @@ pub struct TierStats {
     pub promotions_to_full: u64,
 }
 
+/// Sum two censuses, field by field — e.g. shard tables into an
+/// engine-wide total.
+impl std::ops::AddAssign for TierStats {
+    fn add_assign(&mut self, other: TierStats) {
+        self.small += other.small;
+        self.array += other.array;
+        self.full += other.full;
+        self.promotions_to_array += other.promotions_to_array;
+        self.promotions_to_full += other.promotions_to_full;
+    }
+}
+
 impl TierStats {
     /// Total flows across all tiers.
     pub fn flows(&self) -> usize {

@@ -46,6 +46,21 @@ use crate::flow_cell::{replay_estimate, FlowCell, Tier};
 use crate::flow_store::TierStats;
 use crate::open_table::{OpenTable, PROBE_MISS};
 
+/// The pinned ordering for `(flow, estimate)` lists: estimate
+/// descending, flow key ascending as the tie-break. Flow keys are
+/// unique in a table, so the order is strict and any sort or merge by
+/// it gives one answer. [`FlowTable::flows_over`] and the engine's
+/// cross-shard reports both sort by it.
+///
+/// # Panics
+/// When an estimate is NaN.
+#[inline]
+pub fn by_estimate_desc(a: &(u64, f64), b: &(u64, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("estimates are finite")
+        .then(a.0.cmp(&b.0))
+}
+
 /// The default factory representation: a boxed, thread-local closure.
 pub type BoxedFactory<E> = Box<dyn Fn(u64) -> E>;
 
@@ -431,8 +446,8 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     }
 
     /// Flows whose estimate is at least `threshold` (the scan/DDoS
-    /// report of the paper's introduction), largest first. The
-    /// threshold filter runs before the sort, and the sort is an
+    /// report of the paper's introduction), in [`by_estimate_desc`]
+    /// order. The threshold filter runs before the sort, and the sort is an
     /// unstable pattern-defeating quicksort — no allocation beyond the
     /// surviving entries, no stable-merge scratch buffer.
     pub fn flows_over(&self, threshold: f64) -> Vec<(u64, f64)> {
@@ -440,11 +455,7 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
             .estimates()
             .filter(|&(_, est)| est >= threshold)
             .collect();
-        out.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("estimates are finite")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_unstable_by(by_estimate_desc);
         out
     }
 

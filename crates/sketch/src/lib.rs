@@ -63,7 +63,7 @@ pub use array::EstimatorArray;
 pub use detector::ThresholdDetector;
 pub use flow_cell::{FlowCell, Tier, ARRAY_CAP, SMALL_CAP};
 pub use flow_store::TierStats;
-pub use flow_table::{FlowFactory, FlowTable};
+pub use flow_table::{by_estimate_desc, FlowFactory, FlowTable};
 pub use open_table::{OpenTable, PROBE_MISS};
 pub use prefetch::{prefetch_read, PREFETCH_ACTIVE};
 pub use virtual_registers::VirtualRegisterSketch;

@@ -294,6 +294,59 @@ fn flow_block_rejects_unsorted_and_duplicate_keys() {
     assert!(encode_flow_block(&[(3, state.clone()), (9, state)]).is_ok());
 }
 
+/// Builders filled apart and merged frame the same bytes as one
+/// builder holding every cell, whatever the split (empty parts too),
+/// and the merge rejects what a single block would: a repeated key
+/// and a part left unsorted.
+#[test]
+fn merged_builders_frame_the_single_builder_bytes() {
+    use smb_sketch::codec::FlowBlockBuilder;
+
+    forall!(cases = 96, (keys in gens::vecs(gens::u64s(0..u64::MAX), 0..60),
+                         parts in gens::usizes(1..6),
+                         seed in gens::u64s(0..u64::MAX)) => {
+        let mut keys = keys;
+        keys.sort_unstable();
+        keys.dedup();
+        let state = |flow: u64| match flow % 3 {
+            0 => tier_json(true, &[flow]),
+            1 => tier_json(false, &[flow, seed, seed ^ flow]),
+            _ => oddball_json(seed.wrapping_add(flow), flow),
+        };
+        let mut whole = FlowBlockBuilder::default();
+        let mut split: Vec<FlowBlockBuilder> =
+            (0..parts).map(|_| FlowBlockBuilder::default()).collect();
+        // Push in descending order so every part needs its sort.
+        for &flow in keys.iter().rev() {
+            whole.push_state(flow, &state(flow));
+            split[(flow ^ seed) as usize % parts].push_state(flow, &state(flow));
+        }
+        for part in &mut split {
+            part.sort();
+        }
+        let want = whole.finish_sorted().expect("distinct keys frame");
+        prop_assert_eq!(FlowBlockBuilder::finish_merged(&split).ok(), Some(want));
+    });
+
+    let state = tier_json(true, &[42]);
+    let part = |flows: &[u64]| {
+        let mut b = FlowBlockBuilder::default();
+        for &flow in flows {
+            b.push_state(flow, &state);
+        }
+        b
+    };
+    assert!(FlowBlockBuilder::finish_merged(&[part(&[1, 5]), part(&[5, 9])]).is_err());
+    assert!(FlowBlockBuilder::finish_merged(&[part(&[9, 3]), part(&[4])]).is_err());
+    let merged = FlowBlockBuilder::finish_merged(&[part(&[3, 9]), part(&[]), part(&[4])]);
+    let flows: Vec<(u64, Json)> = [3, 4, 9].iter().map(|&f| (f, state.clone())).collect();
+    assert_eq!(merged.unwrap(), encode_flow_block(&flows).unwrap());
+    assert_eq!(
+        FlowBlockBuilder::finish_merged(&[]).unwrap(),
+        encode_flow_block(&[]).unwrap()
+    );
+}
+
 /// The server and checkpoint writer encode live cells directly
 /// (`encode_cell`, `FlowBlockBuilder::push_cell`) instead of
 /// transcoding their JSON snapshot state. For every cell a tiered

@@ -458,6 +458,11 @@ for k in ("snapshot_encode_mb_per_sec", "snapshot_decode_mb_per_sec"):
 print(f"snapshot codec: encode {extra['snapshot_encode_mb_per_sec']:.0f} MiB/s, "
       f"decode {extra['snapshot_decode_mb_per_sec']:.0f} MiB/s "
       f"({extra['snapshot_flows']} flows, {extra['snapshot_block_bytes']} B block)")
+# The TOP_K(100) sweep over the same state: wall-clock, so it only has
+# to exist and be positive.
+if not extra.get("topk_sweep_ms", 0) > 0:
+    raise SystemExit("FAIL: topk_sweep_ms missing or non-positive — TOP_K sweep bench did not run")
+print(f"topk sweep: {extra['topk_sweep_ms']:.2f} ms per TOP_K(100) over {extra['snapshot_flows']} flows")
 EOF
 echo "ok: BENCH_ingest.json baseline written ($(wc -c <BENCH_ingest.json) bytes)"
 
