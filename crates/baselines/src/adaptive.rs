@@ -131,7 +131,6 @@ impl CardinalityEstimator for AdaptiveBitmap {
         self.fine.max_estimate().max(self.coarse.max_estimate())
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -200,7 +199,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::AdaptiveBitmap;
     use crate::mrb::Mrb;

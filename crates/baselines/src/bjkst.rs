@@ -127,7 +127,6 @@ impl CardinalityEstimator for Bjkst {
         self.capacity as f64 * 2f64.powi(32)
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -244,7 +243,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::Bjkst;
     use smb_devtools::{Json, JsonError, Snapshot};

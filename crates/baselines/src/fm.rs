@@ -128,7 +128,6 @@ impl CardinalityEstimator for Fm {
         (self.regs.len() as f64 / FM_PHI) * 2f64.powi(32)
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -252,7 +251,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::Fm;
     use smb_devtools::{Json, JsonError, Snapshot};

@@ -127,7 +127,6 @@ impl CardinalityEstimator for Hll {
         hll_alpha(self.regs.len()) * t * t / (t * 2f64.powi(-31))
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -236,7 +235,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::Hll;
     use crate::registers::MaxRegisters;

@@ -233,7 +233,6 @@ impl CardinalityEstimator for HllPlusPlus {
         hll_alpha(self.t) * t * t / (t * 2f64.powi(-31))
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -388,7 +387,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::{HllPlusPlus, Repr, REGISTER_WIDTH};
     use crate::registers::MaxRegisters;

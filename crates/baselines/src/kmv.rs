@@ -117,7 +117,6 @@ impl CardinalityEstimator for Kmv {
         (self.k as f64 - 1.0) * 2f64.powi(64)
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -231,7 +230,6 @@ impl CardinalityEstimator for MinCount {
         b * ((2f64.powi(32)).ln() - EULER_GAMMA).exp()
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -350,7 +348,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::{Kmv, MinCount};
     use smb_devtools::{Json, JsonError, Snapshot};

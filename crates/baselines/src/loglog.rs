@@ -149,7 +149,6 @@ impl CardinalityEstimator for LogLog {
         LOGLOG_ALPHA_INF * self.regs.len() as f64 * 2f64.powi(31)
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -187,7 +186,6 @@ impl CardinalityEstimator for SuperLogLog {
         SLL_ALPHA * self.regs.len() as f64 * 2f64.powi(31)
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -313,7 +311,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::{LogLog, SuperLogLog};
     use crate::registers::MaxRegisters;

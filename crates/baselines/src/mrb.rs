@@ -215,7 +215,6 @@ impl CardinalityEstimator for Mrb {
         self.ones[self.k - 1] as usize >= self.c - 1
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -344,7 +343,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::Mrb;
     use smb_core::bits::BitVec;

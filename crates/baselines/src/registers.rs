@@ -238,7 +238,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::MaxRegisters;
     use smb_devtools::{Json, JsonError, Snapshot};

@@ -175,7 +175,6 @@ impl CardinalityEstimator for HllTailCut {
         hll_alpha(self.offsets.len()) * t * t / (t * 2f64.powi(-63))
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -282,7 +281,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::{HllTailCut, OFFSET_CAP};
     use smb_devtools::{Json, JsonError, Snapshot};

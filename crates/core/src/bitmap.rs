@@ -165,12 +165,10 @@ impl CardinalityEstimator for Bitmap {
         true
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
 
-    #[cfg(feature = "snapshot")]
     fn packed_state(&self) -> Option<crate::PackedState<'_>> {
         Some(crate::PackedState::Bitmap {
             scheme: self.scheme,
@@ -305,7 +303,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::Bitmap;
     use crate::bits::BitVec;

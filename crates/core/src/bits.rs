@@ -294,7 +294,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::BitVec;
     use smb_devtools::{Json, JsonError, Snapshot};

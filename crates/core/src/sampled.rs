@@ -110,7 +110,6 @@ impl CardinalityEstimator for SampledBitmap {
         self.ones >= self.bits.len()
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
@@ -201,7 +200,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::SampledBitmap;
     use crate::bits::BitVec;

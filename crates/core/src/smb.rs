@@ -505,12 +505,10 @@ impl CardinalityEstimator for Smb {
         true
     }
 
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         Some(smb_devtools::Snapshot::to_json(self))
     }
 
-    #[cfg(feature = "snapshot")]
     fn packed_state(&self) -> Option<crate::PackedState<'_>> {
         Some(crate::PackedState::Smb {
             scheme: self.scheme,
@@ -714,7 +712,7 @@ pub struct SmbSnapshot {
 ///
 /// The threshold rule: among candidate round capacities
 /// `c = m/T ∈ {2, 3, …}`, pick the smallest `c` whose maximum estimate
-/// covers `safety × expected_max_cardinality`. Smaller `c` means larger
+/// covers `2 × expected_max_cardinality`. Smaller `c` means larger
 /// per-round logical bitmaps and therefore lower variance, so the
 /// smallest capacity that fits is the accuracy-optimal choice under
 /// this family. (The theory crate's `optimal_threshold` refines this
@@ -724,9 +722,11 @@ pub struct SmbBuilder {
     memory_bits: usize,
     expected_max: f64,
     explicit_t: Option<usize>,
-    safety: f64,
     scheme: HashScheme,
 }
+
+/// Headroom of the derived threshold over `expected_max_cardinality`.
+const CAPACITY_SAFETY: f64 = 2.0;
 
 impl Default for SmbBuilder {
     fn default() -> Self {
@@ -734,7 +734,6 @@ impl Default for SmbBuilder {
             memory_bits: 8192,
             expected_max: 1_000_000.0,
             explicit_t: None,
-            safety: 2.0,
             scheme: HashScheme::default(),
         }
     }
@@ -760,13 +759,6 @@ impl SmbBuilder {
         self
     }
 
-    /// Capacity safety factor over `expected_max_cardinality`
-    /// (default 2.0).
-    pub fn safety_factor(mut self, s: f64) -> Self {
-        self.safety = s;
-        self
-    }
-
     /// Hash scheme for item recording.
     pub fn hash_scheme(mut self, scheme: HashScheme) -> Self {
         self.scheme = scheme;
@@ -783,7 +775,7 @@ impl SmbBuilder {
         if let Some(t) = self.explicit_t {
             return Smb::with_scheme(m, t, self.scheme);
         }
-        let target = self.expected_max * self.safety;
+        let target = self.expected_max * CAPACITY_SAFETY;
         let mut chosen = None;
         for c in 2..=m.max(2) / 2 {
             let t = m / c; // floor; actual rounds = floor(m/t) >= c
@@ -1187,7 +1179,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use std::sync::Arc;
 

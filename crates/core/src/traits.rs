@@ -131,10 +131,6 @@ pub trait CardinalityEstimator {
     /// restore direction is deliberately *not* on this trait: rebuilding
     /// a concrete type from JSON needs the concrete type, which is
     /// `smb_factory::restore_estimator`'s job.
-    ///
-    /// Only available with the `snapshot` feature (the same feature
-    /// that gates the `Snapshot` impls themselves).
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         None
     }
@@ -145,9 +141,6 @@ pub trait CardinalityEstimator {
     /// estimators. It describes exactly the state `snapshot_state`
     /// serializes. Returns `None` (the default) when the estimator has
     /// no such view; callers then fall back to `snapshot_state`.
-    ///
-    /// Only available with the `snapshot` feature.
-    #[cfg(feature = "snapshot")]
     fn packed_state(&self) -> Option<PackedState<'_>> {
         None
     }
@@ -191,11 +184,9 @@ impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Box<T> {
     fn set_observer(&mut self, observer: Option<ObserverHandle>) -> bool {
         (**self).set_observer(observer)
     }
-    #[cfg(feature = "snapshot")]
     fn snapshot_state(&self) -> Option<smb_devtools::Json> {
         (**self).snapshot_state()
     }
-    #[cfg(feature = "snapshot")]
     fn packed_state(&self) -> Option<PackedState<'_>> {
         (**self).packed_state()
     }

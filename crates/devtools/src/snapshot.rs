@@ -1,6 +1,6 @@
 //! Sketch snapshot serialization over the in-tree [`Json`] layer —
 //! the replacement for the old `serde`-derived `--features serde`
-//! support (now the workspace `snapshot` feature).
+//! support.
 //!
 //! [`Snapshot`] is deliberately narrow: a type maps itself to a
 //! [`Json`] value and reconstructs itself from one, validating
@@ -10,9 +10,9 @@
 //! from the wire).
 //!
 //! Implementations for the estimator types live next to the types
-//! (`smb-core/src/snapshot.rs`, `smb-baselines/src/snapshot.rs`,
-//! behind their `snapshot` features); this module provides the trait,
-//! the primitive impls, and the impls for `smb-hash`'s config types.
+//! (`snapshot_impl` modules in `smb-core` and `smb-baselines`); this
+//! module provides the trait, the primitive impls, and the impls for
+//! `smb-hash`'s config types.
 
 use crate::json::{Json, JsonError};
 use smb_hash::{HashAlgorithm, HashScheme};

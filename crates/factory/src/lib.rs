@@ -50,9 +50,7 @@ use smb_baselines::{Fm, Hll, HllPlusPlus, HllTailCut, Kmv, LogLog, MinCount, Mrb
 use smb_core::{Bitmap, CardinalityEstimator, ObserverHandle, Result, Smb, SmbParams};
 use smb_hash::HashScheme;
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl;
-#[cfg(feature = "snapshot")]
 pub use snapshot_impl::{restore_bitmap, restore_estimator, restore_smb, JsonRestorer};
 
 /// A heap-allocated estimator that may cross thread boundaries — the
@@ -468,7 +466,6 @@ mod tests {
                 reference.estimate().to_bits(),
                 "m={m}"
             );
-            #[cfg(feature = "snapshot")]
             assert_eq!(built.snapshot_state(), reference.snapshot_state(), "m={m}");
         }
         // `b` shares `a`'s budget and `c` shares `b`'s `n_max`, and all

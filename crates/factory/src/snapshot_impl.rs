@@ -1,5 +1,4 @@
-//! Snapshot support for the factory layer (behind the `snapshot`
-//! feature): serializing an [`AlgoSpec`] and — the restore half of the
+//! Snapshot support for the factory layer: serializing an [`AlgoSpec`] and — the restore half of the
 //! engine's durability story — rebuilding a live estimator from a
 //! checkpointed state.
 //!

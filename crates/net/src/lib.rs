@@ -42,4 +42,4 @@ pub mod server;
 pub use client::SmbClient;
 pub use frame::{read_frame, write_frame, NetError, MAX_FRAME};
 pub use proto::{MorphEvent, PROTOCOL_VERSION};
-pub use server::{ServerConfig, ServeSummary, SmbServer};
+pub use server::{ServeSummary, SmbServer};

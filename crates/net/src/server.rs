@@ -10,10 +10,10 @@
 //! shared query handle.
 //!
 //! Shutdown is cooperative: the accept loop and every session poll an
-//! `Arc<AtomicBool>`; a client `SHUTDOWN` frame (or the embedding
-//! process flipping the flag) stops accepting, ends sessions at their
-//! next poll tick, and [`SmbServer::serve`] joins them all before
-//! returning.
+//! `Arc<AtomicBool>`; a client `SHUTDOWN` frame sets it, which stops
+//! accepting and ends each session waiting on its peer at its next
+//! poll tick, mid-frame included. [`SmbServer::serve`] joins them all
+//! before returning.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -28,24 +28,10 @@ use smb_telemetry::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 use crate::frame::{write_frame, NetError, MAX_FRAME};
 use crate::proto::{self, MorphEvent};
 
-/// Tunables for [`SmbServer`]; `Default` suits tests and the CLI.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Largest accepted/emitted frame (`length` field), bytes.
-    pub max_frame: u32,
-    /// Poll interval for the accept loop, session socket reads, and
-    /// morph-subscription tailing. Bounds shutdown latency.
-    pub poll: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_frame: MAX_FRAME,
-            poll: Duration::from_millis(25),
-        }
-    }
-}
+/// Poll interval of the accept loop, session socket reads and the
+/// morph-subscription tail. Each tick checks the shutdown flag, so it
+/// bounds shutdown latency.
+const POLL: Duration = Duration::from_millis(25);
 
 /// What a completed [`SmbServer::serve`] run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +114,6 @@ pub struct SmbServer {
     flight: Option<Arc<FlightRecorder>>,
     spec_json: String,
     metrics: NetMetrics,
-    config: ServerConfig,
 }
 
 impl SmbServer {
@@ -137,15 +122,6 @@ impl SmbServer {
     /// only borrowed for the call; serving runs against cloned
     /// producer/query handles.
     pub fn bind<A: ToSocketAddrs>(addr: A, engine: &ShardedFlowEngine) -> Result<Self, NetError> {
-        Self::bind_with(addr, engine, ServerConfig::default())
-    }
-
-    /// [`SmbServer::bind`] with explicit [`ServerConfig`] tunables.
-    pub fn bind_with<A: ToSocketAddrs>(
-        addr: A,
-        engine: &ShardedFlowEngine,
-        config: ServerConfig,
-    ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(SmbServer {
@@ -156,7 +132,6 @@ impl SmbServer {
             flight: engine.flight_recorder().cloned(),
             spec_json: engine.config().spec.to_json().to_string(),
             metrics: NetMetrics::register(engine.registry()),
-            config,
         })
     }
 
@@ -165,14 +140,7 @@ impl SmbServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// The cooperative shutdown flag. Store `true` (any ordering) to
-    /// stop the accept loop and end sessions at their next poll tick;
-    /// a client `SHUTDOWN` frame sets the same flag.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Accept and serve sessions until the shutdown flag is set, then
+    /// Accept and serve sessions until a client sends `SHUTDOWN`, then
     /// join every session thread and report what was served.
     pub fn serve(self) -> Result<ServeSummary, NetError> {
         let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -188,13 +156,10 @@ impl SmbServer {
                         spec_json: self.spec_json.clone(),
                         metrics: self.metrics.clone(),
                         shutdown: Arc::clone(&self.shutdown),
-                        config: self.config,
                     };
                     sessions.push(std::thread::spawn(move || session.run(stream)));
                 }
-                Err(e) if would_block(&e) => {
-                    std::thread::sleep(self.config.poll);
-                }
+                Err(e) if is_tick(&e) => std::thread::sleep(POLL),
                 Err(e) => return Err(NetError::Io(e)),
             }
             sessions.retain(|handle| !handle.is_finished());
@@ -206,10 +171,14 @@ impl SmbServer {
     }
 }
 
-fn would_block(e: &std::io::Error) -> bool {
+/// A non-blocking accept or a timed read that ended on a poll tick (or
+/// a signal) with nothing lost.
+fn is_tick(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
     )
 }
 
@@ -222,7 +191,6 @@ struct Session {
     spec_json: String,
     metrics: NetMetrics,
     shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
 }
 
 /// Why the session loop stopped — only used to decide whether the
@@ -246,7 +214,7 @@ impl Session {
     }
 
     fn drive(&mut self, mut stream: TcpStream) -> Result<SessionEnd, NetError> {
-        stream.set_read_timeout(Some(self.config.poll))?;
+        stream.set_read_timeout(Some(POLL))?;
 
         // Handshake: the first frame must be a HELLO we support.
         let (ty, payload) = match self.poll_frame(&mut stream)? {
@@ -357,14 +325,14 @@ impl Session {
                 }
                 self.producer.barrier();
                 match self.snapshot_block() {
-                    Ok(block) if block.len() + 1 > self.config.max_frame as usize => {
+                    Ok(block) if block.len() + 1 > MAX_FRAME as usize => {
                         self.bail(
                             stream,
                             proto::ERR_TOO_LARGE,
                             &format!(
                                 "snapshot of {} bytes exceeds the {}-byte frame limit",
                                 block.len(),
-                                self.config.max_frame
+                                MAX_FRAME
                             ),
                         )?;
                         return Ok(Flow::Close(SessionEnd::Fault));
@@ -435,7 +403,7 @@ impl Session {
         while delivered < max_events && !self.shutdown.load(Ordering::Acquire) {
             let total = flight.recorded_total();
             if total == seen {
-                std::thread::sleep(self.config.poll);
+                std::thread::sleep(POLL);
                 continue;
             }
             let fresh = (total - seen).min(flight.capacity() as u64) as usize;
@@ -470,7 +438,8 @@ impl Session {
     /// Read one frame, treating read-timeout ticks *between* frames as
     /// polls of the shutdown flag (`Ok(None)` = shut down while idle).
     /// Once a frame has started, ticks keep the partial bytes and
-    /// retry, so slow writers are never mis-framed.
+    /// retry, so slow writers are never mis-framed; a shutdown during
+    /// a partial frame ends the session as a fault.
     fn poll_frame(&self, stream: &mut TcpStream) -> Result<Option<(u8, Vec<u8>)>, NetError> {
         let mut first = [0u8; 1];
         loop {
@@ -480,31 +449,59 @@ impl Session {
             match stream.read(&mut first) {
                 Ok(0) => return Err(NetError::Closed),
                 Ok(_) => break,
-                Err(e) if would_block(&e) || e.kind() == std::io::ErrorKind::Interrupted => {
-                    continue;
-                }
+                Err(e) if is_tick(&e) => continue,
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
         let mut header = [0u8; 4];
         header[0] = first[0];
-        read_full(stream, &mut header[1..], "frame header")?;
+        self.read_full(stream, &mut header[1..], "frame header")?;
         let len = u32::from_le_bytes(header);
         if len == 0 {
             return Err(NetError::Protocol("frame length 0 (missing type byte)".into()));
         }
-        if len > self.config.max_frame {
+        if len > MAX_FRAME {
             return Err(NetError::Protocol(format!(
-                "frame length {len} exceeds limit {}",
-                self.config.max_frame
+                "frame length {len} exceeds limit {MAX_FRAME}"
             )));
         }
         let mut body = vec![0u8; len as usize];
-        read_full(stream, &mut body, "frame body")?;
+        self.read_full(stream, &mut body, "frame body")?;
         self.metrics.frames_in.inc();
         self.metrics.frame_bytes_in.record(u64::from(len) + 4);
         let payload = body.split_off(1);
         Ok(Some((body[0], payload)))
+    }
+
+    /// Retry-on-tick `read_exact` that never loses partial progress.
+    /// Each tick checks the shutdown flag, so a peer that stalls
+    /// mid-frame cannot hold [`SmbServer::serve`] open.
+    fn read_full(
+        &self,
+        stream: &mut TcpStream,
+        buf: &mut [u8],
+        what: &str,
+    ) -> Result<(), NetError> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            match stream.read(&mut buf[filled..]) {
+                Ok(0) => {
+                    return Err(NetError::Protocol(format!(
+                        "connection closed mid-frame while reading {what}"
+                    )))
+                }
+                Ok(n) => filled += n,
+                Err(e) if is_tick(&e) => {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return Err(NetError::Protocol(format!(
+                            "server shut down mid-frame while reading {what}"
+                        )));
+                    }
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -512,24 +509,6 @@ impl Session {
 enum Flow {
     Continue,
     Close(SessionEnd),
-}
-
-/// Retry-on-timeout `read_exact` that never loses partial progress.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], what: &str) -> Result<(), NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(NetError::Protocol(format!(
-                    "connection closed mid-frame while reading {what}"
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if would_block(&e) || e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 fn to_wire_event(ev: &smb_telemetry::FlightEvent) -> MorphEvent {

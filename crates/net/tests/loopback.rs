@@ -9,14 +9,16 @@
 //! each client preserves, so cross-client interleaving must not leak
 //! into results.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use smb_engine::{EngineConfig, EngineQuery, ShardedFlowEngine};
 use smb_factory::{Algo, AlgoSpec};
 use smb_net::proto::{
     ERR_MALFORMED, ERR_UNKNOWN_TYPE, ERR_UNSUPPORTED_VERSION, MSG_ERROR, MSG_HELLO, MSG_HELLO_ACK,
-    MSG_PING, MSG_QUERY,
+    MSG_PING, MSG_PONG, MSG_QUERY,
 };
 use smb_net::{read_frame, write_frame, NetError, SmbClient, SmbServer, PROTOCOL_VERSION};
 
@@ -36,6 +38,20 @@ fn spawn_server(engine: &ShardedFlowEngine) -> (String, thread::JoinHandle<u64>)
     let addr = server.local_addr().unwrap().to_string();
     let handle = thread::spawn(move || server.serve().unwrap().sessions);
     (addr, handle)
+}
+
+/// Join the server thread, failing the test if `serve` has not
+/// returned within `limit` (a hung server thread is left behind).
+fn join_within(server: thread::JoinHandle<u64>, limit: Duration) -> u64 {
+    let deadline = Instant::now() + limit;
+    while !server.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "serve still running {limit:?} after SHUTDOWN_ACK"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    server.join().unwrap()
 }
 
 /// The shared workload: 8 flows, sizes staggered so top-k order is
@@ -260,4 +276,37 @@ fn snapshot_records_one_encode_sample_per_request() {
 
     client.shutdown_server().unwrap();
     server.join().unwrap();
+}
+
+#[test]
+fn peer_stalled_mid_frame_does_not_block_shutdown() {
+    let served = engine();
+    let (addr, server) = spawn_server(&served);
+
+    // Handshake, then a PING followed in the same write by two of the
+    // next length prefix's four bytes, and stall with the connection
+    // open. The PONG shows the session has the partial prefix queued
+    // behind the PING, so it is stalled inside a frame, not idle.
+    let mut stalled = TcpStream::connect(addr.as_str()).unwrap();
+    write_frame(&mut stalled, MSG_HELLO, &PROTOCOL_VERSION.to_le_bytes()).unwrap();
+    let (ty, _) = read_frame(&mut stalled, 1 << 20).unwrap();
+    assert_eq!(ty, MSG_HELLO_ACK);
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, MSG_PING, &[0u8; 8]).unwrap();
+    bytes.extend_from_slice(&[9, 0]);
+    stalled.write_all(&bytes).unwrap();
+    let (ty, _) = read_frame(&mut stalled, 1 << 20).unwrap();
+    assert_eq!(ty, MSG_PONG);
+
+    SmbClient::connect(addr.as_str())
+        .unwrap()
+        .shutdown_server()
+        .unwrap();
+    assert_eq!(join_within(server, Duration::from_secs(3)), 2);
+    let errors = served
+        .metrics_snapshot()
+        .get("net_errors_total", &[])
+        .and_then(|m| m.as_counter());
+    assert_eq!(errors, Some(1), "the stalled session ends as a fault");
+    drop(stalled);
 }

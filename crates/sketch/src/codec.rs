@@ -57,15 +57,11 @@
 use std::fmt;
 use std::ops::Range;
 
-use smb_core::BitVec;
-#[cfg(feature = "snapshot")]
-use smb_core::{CardinalityEstimator, PackedState};
+use smb_core::{BitVec, CardinalityEstimator, PackedState};
 use smb_devtools::{Json, Snapshot};
 use smb_hash::{HashAlgorithm, HashScheme};
 
-#[cfg(feature = "snapshot")]
-use crate::flow_cell::FlowCell;
-use crate::flow_cell::{ARRAY_CAP, SMALL_CAP};
+use crate::flow_cell::{FlowCell, ARRAY_CAP, SMALL_CAP};
 
 /// Cell-state tag: literal JSON text fallback (any estimator state).
 pub const TAG_JSON: u8 = 0x00;
@@ -550,7 +546,6 @@ fn write_cell_state(out: &mut Vec<u8>, state: &Json) {
 /// estimators write their [`PackedState`] words; any other estimator
 /// goes through its JSON snapshot and [`encode_cell_state`]. Returns
 /// `None` when a materialized estimator does not support snapshots.
-#[cfg(feature = "snapshot")]
 pub fn encode_cell<E: CardinalityEstimator>(cell: &FlowCell<E>) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(32);
     write_cell(&mut out, cell)?;
@@ -559,7 +554,6 @@ pub fn encode_cell<E: CardinalityEstimator>(cell: &FlowCell<E>) -> Option<Vec<u8
 
 /// Append [`encode_cell`]'s bytes for `cell` to `out`; `None` (with
 /// nothing appended) when the cell's estimator has no snapshot.
-#[cfg(feature = "snapshot")]
 fn write_cell<E: CardinalityEstimator>(out: &mut Vec<u8>, cell: &FlowCell<E>) -> Option<()> {
     let tag = match cell {
         FlowCell::Small { .. } => TAG_SMALL,
@@ -585,7 +579,6 @@ fn write_cell<E: CardinalityEstimator>(out: &mut Vec<u8>, cell: &FlowCell<E>) ->
 /// that tag (an unregistered hash algorithm, a bitmap whose length is
 /// not `m`, or stray bits past its length), so the caller's JSON
 /// fallback keeps the bytes identical.
-#[cfg(feature = "snapshot")]
 fn write_packed_state(out: &mut Vec<u8>, state: PackedState<'_>) -> bool {
     let (scheme, bits) = match state {
         PackedState::Smb { m, bits, .. } if bits.len() != m => return false,
@@ -872,7 +865,6 @@ impl FlowBlockBuilder {
     /// # Errors
     /// [`CodecError`] when the cell's estimator does not support
     /// snapshots; nothing is added.
-    #[cfg(feature = "snapshot")]
     pub fn push_cell<E: CardinalityEstimator>(
         &mut self,
         flow: u64,

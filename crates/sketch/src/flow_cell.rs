@@ -354,7 +354,6 @@ fn record_raw_hashes<E: CardinalityEstimator>(est: &mut E, raws: &[u64]) {
     est.record_hashes(&buf[..n]);
 }
 
-#[cfg(feature = "snapshot")]
 mod snapshot_impl {
     use super::*;
     use smb_devtools::Json;

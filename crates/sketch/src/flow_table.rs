@@ -498,7 +498,6 @@ impl<E: CardinalityEstimator, F: FlowFactory<E>> FlowTable<E, F> {
     /// order, where small/array tiers carry a `{"tier", "hashes"}`
     /// wrapper and materialized cells carry the estimator's own state
     /// (`None` when the estimator does not support snapshots).
-    #[cfg(feature = "snapshot")]
     pub fn snapshot_cells(&self) -> Vec<(u64, Option<smb_devtools::Json>)> {
         self.flows
             .iter()

@@ -355,7 +355,6 @@ fn merged_builders_frame_the_single_builder_bytes() {
 /// an estimator with no binary tag — the direct bytes must equal
 /// `encode_cell_state(&cell.snapshot_state())`, and a block assembled
 /// from live cells must equal `encode_flow_block` of the JSON cells.
-#[cfg(feature = "snapshot")]
 #[test]
 fn cell_encoder_matches_json_transcoder_bit_for_bit() {
     use smb_core::{CardinalityEstimator, Smb};
@@ -491,7 +490,6 @@ fn cell_encoder_matches_json_transcoder_bit_for_bit() {
 
 /// PROTOCOL.md §5.5's worked flow-block example, written both from
 /// its JSON states and from the live cells those states describe.
-#[cfg(feature = "snapshot")]
 #[test]
 fn protocol_flow_block_example_from_json_and_live_cells() {
     use smb_core::Smb;
@@ -525,7 +523,6 @@ fn protocol_flow_block_example_from_json_and_live_cells() {
 /// PROTOCOL.md §5.4's worked SMB cell, pinned three ways: transcoded
 /// from its JSON, encoded from a live SMB in that state, and decoded
 /// back to the typed state and to the JSON.
-#[cfg(feature = "snapshot")]
 #[test]
 fn protocol_smb_cell_example_from_json_live_smb_and_back() {
     use std::sync::Arc;

@@ -466,7 +466,6 @@ fn tiered_table_matches_eager_table_under_random_sequences() {
 /// wrapper-free) state — and all of them estimate bit-identically. The
 /// typed state decoded from the cell's bytes is the one its JSON state
 /// reads as.
-#[cfg(feature = "snapshot")]
 #[test]
 fn every_tier_round_trips_through_its_snapshot_state() {
     use smb_sketch::codec::{decode_cell, encode_cell, CellState};

@@ -7,8 +7,7 @@
 //! * [`Registry`] — named metric families with Prometheus-style
 //!   labels; registration is idempotent, updates never lock;
 //! * [`Registry::timer`] / [`Span`] — RAII scope timing into
-//!   histograms, compiled to a no-op under the `telemetry-off`
-//!   feature;
+//!   histograms;
 //! * [`BatchedMetricsObserver`] — an [`smb_core::SmbObserver`] folding
 //!   morph / clear / saturation events into seven registry metric
 //!   families through thread-local delta buffers, flushed on batch

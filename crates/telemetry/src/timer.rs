@@ -7,26 +7,17 @@
 //!     let _span = registry.timer("ingest.batch");
 //!     // ... timed work ...
 //! } // span drops here, recording elapsed nanoseconds
-//! # #[cfg(not(feature = "telemetry-off"))]
 //! # assert_eq!(registry.snapshot().metrics[0].name, "ingest_batch_ns");
 //! ```
-//!
-//! With the `telemetry-off` feature enabled, [`Registry::timer`]
-//! registers nothing, reads no clock, and [`Span`] is a zero-sized
-//! no-op — the call compiles away entirely.
 
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::Arc;
-#[cfg(not(feature = "telemetry-off"))]
 use std::time::Instant;
 
-#[cfg(not(feature = "telemetry-off"))]
 use crate::metrics::Histogram;
 use crate::registry::Registry;
 
 /// Span names are free-form ("ingest.batch"); metric names are not.
 /// Map every illegal character to `_` and suffix the unit.
-#[cfg(not(feature = "telemetry-off"))]
 pub(crate) fn span_metric_name(span: &str) -> String {
     let mut name: String = span
         .chars()
@@ -51,14 +42,12 @@ pub(crate) fn span_metric_name(span: &str) -> String {
 
 /// A running timer that records its elapsed nanoseconds into a
 /// histogram when dropped.
-#[cfg(not(feature = "telemetry-off"))]
 #[derive(Debug)]
 pub struct Span {
     histogram: Option<Arc<Histogram>>,
     start: Instant,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl Span {
     /// A span that times nothing and records nowhere.
     pub fn noop() -> Self {
@@ -82,7 +71,6 @@ impl Span {
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(h) = &self.histogram {
@@ -91,37 +79,12 @@ impl Drop for Span {
     }
 }
 
-/// No-op span: the `telemetry-off` build compiles timing away.
-#[cfg(feature = "telemetry-off")]
-#[derive(Debug)]
-pub struct Span;
-
-#[cfg(feature = "telemetry-off")]
-impl Span {
-    /// A span that times nothing and records nowhere.
-    pub fn noop() -> Self {
-        Span
-    }
-
-    /// Always 0 in the `telemetry-off` build.
-    pub fn elapsed_ns(&self) -> u64 {
-        0
-    }
-
-    /// No-op.
-    pub fn stop(self) {}
-
-    /// No-op.
-    pub fn discard(self) {}
-}
-
 impl Registry {
     /// Start a span timing into histogram `<sanitized-name>_ns`
     /// (`"ingest.batch"` → `ingest_batch_ns`). The histogram is
     /// registered on first use; afterwards each call is one clock
-    /// read plus an RAII guard. A no-op under `telemetry-off`.
-    #[cfg(not(feature = "telemetry-off"))]
-    pub fn timer(&self, span_name: &str) -> Span {
+    /// read plus an RAII guard.
+        pub fn timer(&self, span_name: &str) -> Span {
         let metric = span_metric_name(span_name);
         let histogram = self.histogram(
             &metric,
@@ -132,19 +95,12 @@ impl Registry {
             start: Instant::now(),
         }
     }
-
-    /// `telemetry-off`: registers nothing, reads no clock.
-    #[cfg(feature = "telemetry-off")]
-    pub fn timer(&self, _span_name: &str) -> Span {
-        Span
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn span_names_sanitize_to_legal_metric_names() {
         assert_eq!(span_metric_name("ingest.batch"), "ingest_batch_ns");
@@ -155,7 +111,6 @@ mod tests {
         )));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn timer_records_into_suffixed_histogram() {
         let r = Registry::new("test");
@@ -173,15 +128,5 @@ mod tests {
             .unwrap()
             .clone();
         assert_eq!(h.count, 2, "two recorded, one discarded");
-    }
-
-    #[cfg(feature = "telemetry-off")]
-    #[test]
-    fn timer_is_a_noop_when_disabled() {
-        let r = Registry::new("test");
-        {
-            let _span = r.timer("ingest.batch");
-        }
-        assert!(r.snapshot().metrics.is_empty(), "nothing registered");
     }
 }

@@ -25,15 +25,13 @@ RUSTFLAGS="-Dwarnings" cargo build --examples --offline
 step "workspace tests (offline)"
 cargo test --workspace -q --offline
 
-step "snapshot feature tests (offline)"
-cargo test -q --offline --features snapshot
-
 step "perfbench build + self-check (offline): the benchmark still compiles against the crates"
 # perfbench is a Cargo package of its own, outside the workspace, that
 # calls AlgoSpec::build, optimal_threshold, FlowTable::tiered,
 # record_batch_grouped and QueryHandle. Building and self-checking it
 # here turns API drift in those crates into a verify failure instead
-# of a broken benchmark.
+# of a broken benchmark. It also names the empty `snapshot` features
+# of smb-sketch and smb-factory, so this build guards them.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 step "engine tests (offline): shard invariance + backpressure"
@@ -89,7 +87,6 @@ step "tier equivalence gates (offline): tiered cells vs eager estimators"
 # every promotion boundary, under random chunkings and duplicate-heavy
 # streams — and every tier must round-trip its checkpoint state.
 cargo test -q --offline -p smb-sketch --test tiering
-cargo test -q --offline -p smb-sketch --features snapshot --test tiering
 # Unmaterialized SMB cells are answered in closed form from (r, v)
 # (SmbParams::estimate_of_hashes) instead of by probe replay; the
 # differential below holds it bit-identical to replay. Run by exact
@@ -110,7 +107,7 @@ step "codec byte-identity gates (offline): direct cell encoder vs JSON transcode
 # saturation, Bitmap, a JSON-tagged estimator) and per engine block
 # and checkpoint shard. Each test runs by exact name and must report
 # "1 passed", so a rename cannot filter it away.
-codec_identity_out="$(cargo test --offline -p smb-sketch --features snapshot --test codec \
+codec_identity_out="$(cargo test --offline -p smb-sketch --test codec \
     -- --exact cell_encoder_matches_json_transcoder_bit_for_bit 2>&1)"
 engine_identity_out="$(cargo test --offline -p smb-engine --lib -- --exact \
     engine::tests::snapshot_block_and_v2_checkpoint_match_json_reference 2>&1)"
@@ -167,7 +164,6 @@ fi
 
 step "telemetry tests (offline): metrics, morph events, exposition round-trip"
 cargo test -q --offline -p smb-telemetry
-cargo test -q --offline -p smb-telemetry --features telemetry-off
 
 step "rustdoc (offline, warnings are errors) + doc tests"
 RUSTDOCFLAGS="-Dwarnings" cargo doc --no-deps --workspace --offline

@@ -1,7 +1,6 @@
-//! Snapshot round-trips (requires `--features snapshot`): an estimator
+//! Snapshot round-trips: an estimator
 //! checkpointed mid-stream via the in-tree JSON snapshot format and
 //! restored must continue exactly where it left off.
-#![cfg(feature = "snapshot")]
 
 use smb::baselines::{
     AdaptiveBitmap, Bjkst, Fm, Hll, HllPlusPlus, HllTailCut, Kmv, LogLog, MinCount, Mrb,
