@@ -14,6 +14,21 @@
 //! nothing will ever drain the queue, so senders blocked on a full
 //! queue are woken and handed their value back).
 //!
+//! **Drain barrier.** Under the same lock the channel counts the
+//! values it has *accepted* and the values its receiver has reported
+//! *finished* (`Receiver::finish_one`, called once the worker's
+//! effects of a value are written). `Sender::wait_finished` takes
+//! the accepted count and sleeps on a condvar until `finished`
+//! catches up, so a producer's read-your-writes barrier is one
+//! wake-up, never a poll. Everything the receiver wrote before
+//! `finish_one` is visible to the waiter once it returns: both sides
+//! pass through the channel mutex. A dropped receiver wakes the
+//! waiters too, so a dead worker fails the wait instead of hanging it.
+//!
+//! Each condvar is notified only when its waiter count (kept under
+//! the lock, so exact) is non-zero: an idle notify still costs a
+//! syscall, and the send/recv pair runs once per batch.
+//!
 //! Built on `Mutex` + `Condvar` from `std` only (offline-dependency
 //! policy: no crossbeam). The producer touches the lock once per
 //! *batch*, not per item, so the synchronisation cost is amortised over
@@ -28,6 +43,14 @@ struct State<T> {
     /// The receiver was dropped; set by its `Drop`, distinct from
     /// `closed`.
     receiver_gone: bool,
+    /// Values ever enqueued.
+    accepted: u64,
+    /// Values the receiver reported done via `finish_one`.
+    finished: u64,
+    /// Threads blocked in `recv`, `send` and `wait_finished`.
+    recv_waiters: usize,
+    send_waiters: usize,
+    drain_waiters: usize,
 }
 
 struct Inner<T> {
@@ -35,6 +58,8 @@ struct Inner<T> {
     capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
+    /// `finished` advanced or the receiver is gone.
+    drained: Condvar,
 }
 
 /// Why a [`Sender::try_send`] did not enqueue.
@@ -76,10 +101,16 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             buf: VecDeque::with_capacity(capacity),
             closed: false,
             receiver_gone: false,
+            accepted: 0,
+            finished: 0,
+            recv_waiters: 0,
+            send_waiters: 0,
+            drain_waiters: 0,
         }),
         capacity,
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
+        drained: Condvar::new(),
     });
     (
         Sender {
@@ -100,11 +131,12 @@ impl<T> Sender<T> {
                 return Err(value);
             }
             if state.buf.len() < self.inner.capacity {
-                state.buf.push_back(value);
-                self.inner.not_empty.notify_one();
+                self.inner.push(&mut state, value);
                 return Ok(());
             }
+            state.send_waiters += 1;
             state = self.inner.not_full.wait(state).expect("channel lock");
+            state.send_waiters -= 1;
         }
     }
 
@@ -117,8 +149,7 @@ impl<T> Sender<T> {
         if state.buf.len() >= self.inner.capacity {
             return Err(TrySendError::Full(value));
         }
-        state.buf.push_back(value);
-        self.inner.not_empty.notify_one();
+        self.inner.push(&mut state, value);
         Ok(())
     }
 
@@ -127,15 +158,45 @@ impl<T> Sender<T> {
     pub fn close(&self) {
         let mut state = self.inner.state.lock().expect("channel lock");
         state.closed = true;
-        self.inner.not_empty.notify_all();
-        self.inner.not_full.notify_all();
+        if state.recv_waiters > 0 {
+            self.inner.not_empty.notify_all();
+        }
+        if state.send_waiters > 0 {
+            self.inner.not_full.notify_all();
+        }
     }
 
-    /// Whether the receiver has been dropped. Once true, nothing will
-    /// ever dequeue again, and every value the receiver dequeued was
-    /// handed out before this returned true.
-    pub(crate) fn receiver_gone(&self) -> bool {
-        self.inner.state.lock().expect("channel lock").receiver_gone
+    /// Block until the receiver has finished every value accepted
+    /// before this call (see [`Receiver::finish_one`]). Values sent
+    /// while waiting are not waited for. `Err(left)` if the receiver
+    /// is gone first, `left` being the accepted values it never
+    /// finished; a receiver that drained a closed channel before it
+    /// dropped finished them all, so the wait still returns `Ok`.
+    pub(crate) fn wait_finished(&self) -> Result<(), u64> {
+        let mut state = self.inner.state.lock().expect("channel lock");
+        let target = state.accepted;
+        loop {
+            if state.finished >= target {
+                return Ok(());
+            }
+            if state.receiver_gone {
+                return Err(state.accepted - state.finished);
+            }
+            state.drain_waiters += 1;
+            state = self.inner.drained.wait(state).expect("channel lock");
+            state.drain_waiters -= 1;
+        }
+    }
+}
+
+impl<T> Inner<T> {
+    /// Enqueue under the lock, room already checked.
+    fn push(&self, state: &mut State<T>, value: T) {
+        state.buf.push_back(value);
+        state.accepted += 1;
+        if state.recv_waiters > 0 {
+            self.not_empty.notify_one();
+        }
     }
 }
 
@@ -146,21 +207,42 @@ impl<T> Receiver<T> {
         let mut state = self.inner.state.lock().expect("channel lock");
         loop {
             if let Some(v) = state.buf.pop_front() {
-                self.inner.not_full.notify_one();
+                if state.send_waiters > 0 {
+                    self.inner.not_full.notify_one();
+                }
                 return Some(v);
             }
             if state.closed {
                 return None;
             }
+            state.recv_waiters += 1;
             state = self.inner.not_empty.wait(state).expect("channel lock");
+            state.recv_waiters -= 1;
+        }
+    }
+
+    /// Report one received value fully processed, waking
+    /// [`Sender::wait_finished`] callers. Call once per value, in
+    /// receive order, after every effect the value must publish is
+    /// written.
+    pub(crate) fn finish_one(&self) {
+        let mut state = self.inner.state.lock().expect("channel lock");
+        state.finished += 1;
+        debug_assert!(
+            state.finished <= state.accepted,
+            "finished more than received"
+        );
+        if state.drain_waiters > 0 {
+            self.inner.drained.notify_all();
         }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     /// Marks the receiver gone, discards what is buffered and wakes
-    /// every blocked sender. Runs while a panicking worker unwinds, so
-    /// it tolerates a poisoned lock rather than abort.
+    /// every blocked sender and drain waiter. Runs while a panicking
+    /// worker unwinds, so it tolerates a poisoned lock rather than
+    /// abort.
     fn drop(&mut self) {
         let mut state = self
             .inner
@@ -169,7 +251,12 @@ impl<T> Drop for Receiver<T> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         state.receiver_gone = true;
         state.buf.clear();
-        self.inner.not_full.notify_all();
+        if state.send_waiters > 0 {
+            self.inner.not_full.notify_all();
+        }
+        if state.drain_waiters > 0 {
+            self.inner.drained.notify_all();
+        }
     }
 }
 
@@ -257,7 +344,6 @@ mod tests {
     fn dropped_receiver_releases_blocked_sender() {
         let (tx, rx) = bounded(1);
         tx.send(0u32).unwrap();
-        assert!(!tx.receiver_gone());
         let sender = {
             let tx = tx.clone();
             std::thread::spawn(move || tx.send(1)) // blocks: queue full
@@ -269,8 +355,8 @@ mod tests {
             Err(1),
             "the blocked value comes back"
         );
-        assert!(tx.receiver_gone());
         assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
+        assert_eq!(tx.wait_finished(), Err(1), "the buffered value is lost");
     }
 
     #[test]
@@ -280,5 +366,86 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         tx.send(42).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(42));
+    }
+
+    /// Run `wait_finished` on its own thread and return a receiver for
+    /// its outcome, once the waiter is known to be blocked in it (so
+    /// its target count is fixed before the caller moves on).
+    fn blocked_waiter(tx: &Sender<u32>) -> std::sync::mpsc::Receiver<Result<(), u64>> {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let waiter = tx.clone();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(waiter.wait_finished());
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while tx.inner.state.lock().unwrap().drain_waiters == 0 {
+            assert!(std::time::Instant::now() < deadline, "waiter never blocked");
+            std::thread::yield_now();
+        }
+        done
+    }
+
+    fn outcome(done: &std::sync::mpsc::Receiver<Result<(), u64>>) -> Result<(), u64> {
+        done.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("wait_finished hung")
+    }
+
+    #[test]
+    fn wait_finished_returns_at_once_when_nothing_is_outstanding() {
+        let (tx, rx) = bounded::<u32>(2);
+        assert_eq!(tx.wait_finished(), Ok(()));
+        tx.send(1).unwrap();
+        assert_eq!(rx.recv(), Some(1));
+        rx.finish_one();
+        assert_eq!(tx.wait_finished(), Ok(()));
+    }
+
+    #[test]
+    fn wait_finished_blocks_until_finish_catches_up_with_its_entry_count() {
+        let (tx, rx) = bounded(4);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let done = blocked_waiter(&tx);
+        // Sent after the waiter took its count: not waited for.
+        tx.send(3).unwrap();
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(rx.recv(), Some(2));
+        rx.finish_one();
+        assert!(
+            done.recv_timeout(std::time::Duration::from_millis(20))
+                .is_err(),
+            "returned with one value unfinished"
+        );
+        rx.finish_one();
+        assert_eq!(outcome(&done), Ok(()));
+        assert_eq!(rx.recv(), Some(3));
+    }
+
+    #[test]
+    fn wait_finished_fails_when_the_receiver_drops_with_values_left() {
+        let (tx, rx) = bounded(4);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.recv(), Some(1));
+        rx.finish_one();
+        let done = blocked_waiter(&tx);
+        drop(rx);
+        assert_eq!(outcome(&done), Err(1));
+        assert_eq!(tx.wait_finished(), Err(1));
+    }
+
+    #[test]
+    fn wait_finished_is_ok_when_a_closed_channel_drained_before_the_drop() {
+        let (tx, rx) = bounded(4);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        tx.close();
+        let done = blocked_waiter(&tx);
+        while let Some(_v) = rx.recv() {
+            rx.finish_one();
+        }
+        drop(rx);
+        assert_eq!(outcome(&done), Ok(()));
+        assert_eq!(tx.wait_finished(), Ok(()));
     }
 }

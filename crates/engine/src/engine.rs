@@ -878,7 +878,7 @@ fn deliver_batch(
             metrics.stage_enqueue.record(duration_ns(offered.elapsed()));
         }
         metrics.queue_depth.add(1);
-        metrics.batches_sent.add_release(1);
+        metrics.batches_sent.inc();
         metrics.items_enqueued.add(n);
     }
     outcome
@@ -1009,8 +1009,8 @@ impl ShardedFlowEngine {
                         let tiers = table.tier_stats();
                         drop(table);
                         // Estimator events folded during this batch go
-                        // into the shared cells now, before the release
-                        // increment below publishes them to flush().
+                        // into the shared cells now, before finish_one
+                        // below publishes them to barrier waiters.
                         if let Some(observer) = &worker_observer {
                             observer.flush_local();
                         }
@@ -1023,9 +1023,10 @@ impl ShardedFlowEngine {
                         worker_metrics.flows.set(flows);
                         worker_metrics.items_recorded.add(batch.entries.len() as u64);
                         worker_metrics.queue_depth.sub(1);
-                        // Release publishes the table writes above to
-                        // flush()'s acquire load.
-                        worker_metrics.batches_processed.add_release(1);
+                        worker_metrics.batches_processed.inc();
+                        // Last: the channel lock publishes every write
+                        // above to the barrier this wakes.
+                        rx.finish_one();
                     }
                 })
                 .expect("spawn shard worker");
@@ -1129,8 +1130,9 @@ impl ShardedFlowEngine {
 
     /// Deliver the front-end's partial batches and wait until every
     /// shard has processed everything enqueued so far — the front-end
-    /// producer's [`EngineProducer::barrier`]. After `flush`, queries
-    /// and stats reflect every ingested (non-dropped) item.
+    /// producer's [`EngineProducer::barrier`], which sleeps until each
+    /// shard worker wakes it. After `flush`, queries and stats reflect
+    /// every ingested (non-dropped) item.
     ///
     /// Partial batches are delivered with blocking sends under either
     /// policy: flush is a delivery point, not a load-shedding one.
@@ -1652,10 +1654,17 @@ impl EngineProducer {
     /// [`ShardedFlowEngine::flush`] is this, on the engine's front-end;
     /// a handle needs no `&mut` access to the engine. After
     /// `barrier()` returns, a query through a [`QueryHandle`] reflects
-    /// everything this producer ingested (the per-shard sent/processed
-    /// counters are engine-global, so it may also wait out other
-    /// producers' in-flight batches — a stronger, never weaker,
-    /// guarantee).
+    /// everything this producer ingested (each shard queue counts the
+    /// batches it accepted from every producer, so it may also wait
+    /// out other producers' batches delivered before the call — a
+    /// stronger, never weaker, guarantee).
+    ///
+    /// The wait is a condvar wake-up, not a poll: per shard,
+    /// `Sender::wait_finished` sleeps until the worker's
+    /// `finish_one` — called after the batch's table writes, observer
+    /// deltas and metric updates — catches up with the queue's
+    /// accepted count. Both take the queue's lock, which is what makes
+    /// those writes visible here.
     ///
     /// If the engine has been dropped, its workers drained every
     /// delivered batch on shutdown, so the wait still terminates.
@@ -1665,24 +1674,9 @@ impl EngineProducer {
     /// queued, since its queue can then never drain.
     pub fn barrier(&mut self) {
         self.flush();
-        // Acquire pairs with the worker's release increment, making
-        // its table writes visible to this thread.
-        let unprocessed = |m: &ShardMetrics| {
-            let sent = m.batches_sent.get_acquire();
-            sent.saturating_sub(m.batches_processed.get_acquire())
-        };
-        for (tx, metrics) in &self.shards {
-            while unprocessed(metrics) > 0 {
-                if tx.receiver_gone() {
-                    // The worker's last increment precedes its
-                    // receiver's drop, so this re-read is final.
-                    let left = unprocessed(metrics);
-                    if left > 0 {
-                        panic!("shard worker died with {left} batches unprocessed");
-                    }
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(50));
+        for (tx, _) in &self.shards {
+            if let Err(left) = tx.wait_finished() {
+                panic!("shard worker died with {left} batches unprocessed");
             }
         }
     }
@@ -2941,6 +2935,89 @@ mod tests {
         // still terminates because shutdown drained the queues.
         producer.barrier();
         assert_eq!(queries.snapshot_cells().unwrap().len(), 8);
+    }
+
+    /// Producers on several threads each ingest, `barrier()` and read
+    /// their own writes back through a `QueryHandle`, round after
+    /// round, against a sequential reference table. The barrier sleeps
+    /// until the shard workers wake it, so a lost wake-up would hang
+    /// it: the run is guarded by a timeout that turns a hang into a
+    /// failure, and a stale read fails with the reproducing seed.
+    #[test]
+    fn barrier_never_misses_a_wakeup() {
+        use smb_devtools::{prop_assert_eq, stress, Rng};
+        use std::sync::atomic::AtomicU64;
+
+        type State = (
+            ShardedFlowEngine,
+            Mutex<EngineProducer>,
+            QueryHandle,
+            AtomicU64,
+        );
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                stress!(
+                    schedules = 8,
+                    threads = 3,
+                    setup = |_seed| {
+                        let engine = ShardedFlowEngine::new(
+                            EngineConfig::new(spec()).with_shards(2).with_batch(8),
+                        )
+                        .unwrap();
+                        let producer = Mutex::new(engine.producer_handle());
+                        let queries = engine.query_handle();
+                        (engine, producer, queries, AtomicU64::new(0))
+                    },
+                    body = |tid, ctx, (_, template, queries, ingested): &State| {
+                        let mut producer = template.lock().unwrap().clone();
+                        let sp = spec();
+                        let mut reference = FlowTable::new(move |_| sp.build().unwrap());
+                        let flows = [tid as u64 * 2, tid as u64 * 2 + 1];
+                        for round in 0..200u64 {
+                            let flow = flows[ctx.rng().gen_below_u64(2) as usize];
+                            let n = ctx.rng().gen_below_u64(24) + 1;
+                            for j in 0..n {
+                                let item = ((tid as u64) << 48 | round << 16 | j).to_le_bytes();
+                                producer.ingest(flow, &item);
+                                reference.record(flow, &item);
+                            }
+                            ingested.fetch_add(n, Ordering::Relaxed);
+                            ctx.interleave();
+                            producer.barrier();
+                            for f in flows {
+                                let got = queries.run(&EngineQuery::new().with_estimate(f));
+                                assert_eq!(
+                                    got.estimate,
+                                    reference.estimate(f),
+                                    "thread {tid} round {round} flow {f}: stale read after barrier"
+                                );
+                            }
+                        }
+                    },
+                    check = |(engine, _, _, ingested): &State| {
+                        prop_assert_eq!(
+                            engine.stats().total_recorded(),
+                            ingested.load(Ordering::Relaxed)
+                        );
+                        Ok(())
+                    }
+                );
+            });
+            let _ = done_tx.send(outcome.map_err(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            }));
+        });
+        let outcome = done
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a barrier missed its wake-up: the stress run hung");
+        runner.join().expect("the stress run's panic was caught");
+        if let Err(msg) = outcome {
+            panic!("{msg}");
+        }
     }
 
     /// `SNAPSHOT` and v2 checkpoint shards encode live cells directly;

@@ -219,13 +219,12 @@ impl ShardMetrics {
     /// A point-in-time [`ShardStats`] view. `flows` is passed in from
     /// an exact table count (the gauge lags by up to one batch).
     pub(crate) fn snapshot(&self, shard: usize, flows: u64) -> ShardStats {
-        let batches_sent = self.batches_sent.get_acquire();
         ShardStats {
             shard,
             items_enqueued: self.items_enqueued.get(),
             items_recorded: self.items_recorded.get(),
-            batches_sent,
-            batches_processed: self.batches_processed.get_acquire(),
+            batches_sent: self.batches_sent.get(),
+            batches_processed: self.batches_processed.get(),
             dropped_items: self.dropped_items.get(),
             queue_full_events: self.queue_full_events.get(),
             flows,
@@ -483,8 +482,8 @@ mod tests {
         let m = ShardMetrics::register(&registry, 3);
         m.items_enqueued.add(100);
         m.items_recorded.add(90);
-        m.batches_sent.add_release(2);
-        m.batches_processed.add_release(2);
+        m.batches_sent.add(2);
+        m.batches_processed.add(2);
         m.batch_occupancy.record(60);
         m.batch_occupancy.record(40);
         let s = m.snapshot(3, 7);

@@ -86,6 +86,14 @@ impl From<std::io::Error> for NetError {
 /// assert_eq!(&buf[5..], b"PINGPING");
 /// ```
 pub fn write_frame<W: Write>(w: &mut W, msg_type: u8, payload: &[u8]) -> Result<(), NetError> {
+    w.write_all(&encode_frame(msg_type, payload)?)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// One frame's bytes (`length` prefix, type byte, payload), or
+/// [`NetError::Protocol`] if the payload would exceed [`MAX_FRAME`].
+pub(crate) fn encode_frame(msg_type: u8, payload: &[u8]) -> Result<Vec<u8>, NetError> {
     let len = 1u64 + payload.len() as u64;
     if len > u64::from(MAX_FRAME) {
         return Err(NetError::Protocol(format!(
@@ -96,9 +104,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg_type: u8, payload: &[u8]) -> Result<
     buf.extend_from_slice(&(len as u32).to_le_bytes());
     buf.push(msg_type);
     buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
+    Ok(buf)
 }
 
 /// Read one frame from `r`, returning `(type, payload)`.

@@ -12,10 +12,11 @@
 //! Shutdown is cooperative: the accept loop and every session poll an
 //! `Arc<AtomicBool>`; a client `SHUTDOWN` frame sets it, which stops
 //! accepting and ends each session waiting on its peer at its next
-//! poll tick, mid-frame included. [`SmbServer::serve`] joins them all
-//! before returning.
+//! poll tick — mid-frame included, and mid-reply to a peer that has
+//! stopped reading. [`SmbServer::serve`] joins them all before
+//! returning.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,12 +26,12 @@ use smb_devtools::Snapshot;
 use smb_engine::{EngineProducer, EngineQuery, QueryHandle, ShardedFlowEngine};
 use smb_telemetry::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 
-use crate::frame::{write_frame, NetError, MAX_FRAME};
+use crate::frame::{encode_frame, NetError, MAX_FRAME};
 use crate::proto::{self, MorphEvent};
 
-/// Poll interval of the accept loop, session socket reads and the
-/// morph-subscription tail. Each tick checks the shutdown flag, so it
-/// bounds shutdown latency.
+/// Poll interval of the accept loop, session socket reads and writes,
+/// and the morph-subscription tail. Each tick checks the shutdown flag,
+/// so it bounds shutdown latency.
 const POLL: Duration = Duration::from_millis(25);
 
 /// What a completed [`SmbServer::serve`] run did.
@@ -171,8 +172,8 @@ impl SmbServer {
     }
 }
 
-/// A non-blocking accept or a timed read that ended on a poll tick (or
-/// a signal) with nothing lost.
+/// A non-blocking accept or a timed read or write that ended on a poll
+/// tick (or a signal) with nothing lost.
 fn is_tick(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -215,6 +216,7 @@ impl Session {
 
     fn drive(&mut self, mut stream: TcpStream) -> Result<SessionEnd, NetError> {
         stream.set_read_timeout(Some(POLL))?;
+        stream.set_write_timeout(Some(POLL))?;
 
         // Handshake: the first frame must be a HELLO we support.
         let (ty, payload) = match self.poll_frame(&mut stream)? {
@@ -429,7 +431,7 @@ impl Session {
     }
 
     fn send(&self, stream: &mut TcpStream, ty: u8, payload: &[u8]) -> Result<(), NetError> {
-        write_frame(stream, ty, payload)?;
+        self.write_full(stream, &encode_frame(ty, payload)?)?;
         self.metrics.frames_out.inc();
         self.metrics.frame_bytes_out.record(payload.len() as u64 + 5);
         Ok(())
@@ -495,6 +497,31 @@ impl Session {
                     if self.shutdown.load(Ordering::Acquire) {
                         return Err(NetError::Protocol(format!(
                             "server shut down mid-frame while reading {what}"
+                        )));
+                    }
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Retry-on-tick `write_all` that never loses partial progress.
+    /// Each tick checks the shutdown flag, so a peer that stops reading
+    /// its replies cannot hold [`SmbServer::serve`] open. The shutdown
+    /// error is an I/O error, not a protocol one, so the session ends
+    /// as a fault without trying to send that peer an `ERROR` frame.
+    fn write_full(&self, stream: &mut TcpStream, buf: &[u8]) -> Result<(), NetError> {
+        let mut sent = 0;
+        while sent < buf.len() {
+            match stream.write(&buf[sent..]) {
+                Ok(0) => return Err(NetError::Io(std::io::ErrorKind::WriteZero.into())),
+                Ok(n) => sent += n,
+                Err(e) if is_tick(&e) => {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return Err(NetError::Io(std::io::Error::new(
+                            std::io::ErrorKind::TimedOut,
+                            "server shut down while the peer was not reading a reply",
                         )));
                     }
                 }

@@ -9,7 +9,7 @@
 //! each client preserves, so cross-client interleaving must not leak
 //! into results.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -309,4 +309,44 @@ fn peer_stalled_mid_frame_does_not_block_shutdown() {
         .and_then(|m| m.as_counter());
     assert_eq!(errors, Some(1), "the stalled session ends as a fault");
     drop(stalled);
+}
+
+#[test]
+fn peer_that_never_reads_does_not_block_shutdown() {
+    let served = engine();
+    let (addr, server) = spawn_server(&served);
+
+    // Handshake, then pipeline PINGs without reading a single PONG
+    // until the socket takes nothing for half a second. By then the
+    // PONGs have filled both sides' buffers, so the session is blocked
+    // writing a reply rather than reading.
+    let mut deaf = TcpStream::connect(addr.as_str()).unwrap();
+    write_frame(&mut deaf, MSG_HELLO, &PROTOCOL_VERSION.to_le_bytes()).unwrap();
+    let (ty, _) = read_frame(&mut deaf, 1 << 20).unwrap();
+    assert_eq!(ty, MSG_HELLO_ACK);
+    let mut pings = Vec::new();
+    for _ in 0..4096 {
+        write_frame(&mut pings, MSG_PING, &[0u8; 8]).unwrap();
+    }
+    deaf.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    loop {
+        match deaf.write(&pings) {
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("pipelining PINGs failed: {e}"),
+        }
+    }
+
+    SmbClient::connect(addr.as_str())
+        .unwrap()
+        .shutdown_server()
+        .unwrap();
+    assert_eq!(join_within(server, Duration::from_secs(3)), 2);
+    let errors = served
+        .metrics_snapshot()
+        .get("net_errors_total", &[])
+        .and_then(|m| m.as_counter());
+    assert_eq!(errors, Some(1), "the deaf session ends as a fault");
+    drop(deaf);
 }

@@ -21,11 +21,12 @@
 //! gauges or histograms — none participate in any synchronization
 //! protocol, so `Relaxed` application is sufficient for their values.
 //! *Visibility* is provided by whatever barrier the caller already
-//! owns: the engine worker flushes deltas **before** its
-//! `batches_processed.add_release(1)`, and the engine's `flush()`
-//! barrier reads that counter with `Acquire` — so by the time a flush
-//! returns, every delta folded for a processed batch is visible to the
-//! flushing thread, with zero added fences on the event path.
+//! owns: the engine worker flushes deltas **before** it reports the
+//! batch finished to its shard queue (`Receiver::finish_one`, under
+//! the queue's lock), and the engine's `flush()` barrier waits on that
+//! same lock — so by the time a flush returns, every delta folded for
+//! a processed batch is visible to the flushing thread, with zero
+//! added fences on the event path.
 //!
 //! ## Loss semantics
 //!

@@ -6,12 +6,11 @@
 //! [`Registry`](crate::Registry); the hot path holds the `Arc` and
 //! touches only the atomics.
 //!
-//! Memory-ordering policy: metric updates are `Relaxed` (they are
-//! monotone event counts or last-write-wins levels, never used to
-//! publish other data). The two exceptions are
-//! [`Counter::add_release`] / [`Counter::get_acquire`], provided for
-//! callers — the sharded engine's flush protocol — that *do* use a
-//! counter pair to order table writes against reads.
+//! Memory-ordering policy: every update and read is `Relaxed`. Metrics
+//! are monotone event counts or last-write-wins levels, never used to
+//! publish other data; a caller that needs its writes visible to
+//! another thread (the sharded engine's flush barrier) synchronises
+//! through its own lock.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -39,26 +38,10 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add `n` with `Release` ordering — pairs with
-    /// [`Counter::get_acquire`] when the counter orders preceding
-    /// writes (the engine's batches-processed counter publishes the
-    /// worker's table updates this way).
-    #[inline]
-    pub fn add_release(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Release);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Current value with `Acquire` ordering — see
-    /// [`Counter::add_release`].
-    #[inline]
-    pub fn get_acquire(&self) -> u64 {
-        self.value.load(Ordering::Acquire)
     }
 }
 
@@ -295,8 +278,6 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.add_release(8);
-        assert_eq!(c.get_acquire(), 50);
     }
 
     #[test]

@@ -48,6 +48,17 @@ if ! grep -q "1 passed" <<<"$dead_worker_out"; then
     exit 1
 fi
 echo "ok: a dead shard worker fails barrier, ingest and flush instead of hanging them"
+# The producer barrier sleeps until the shard workers wake it; a lost
+# wake-up would hang it. Several producers ingest, barrier and read
+# their own writes under a timeout guard. Same exact-name gate.
+wakeup_out="$(cargo test --offline -p smb-engine --lib -- --exact \
+    engine::tests::barrier_never_misses_a_wakeup 2>&1)"
+if ! grep -q "1 passed" <<<"$wakeup_out"; then
+    echo "FAIL: barrier wake-up stress test did not run or pass:" >&2
+    echo "$wakeup_out" >&2
+    exit 1
+fi
+echo "ok: producer barriers read their own writes and never miss a wake-up"
 
 step "kernel equivalence gates (offline): open-table differential + morph boundaries"
 # The open-addressed flow table must be observationally identical to
